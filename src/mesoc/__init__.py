@@ -38,6 +38,7 @@ from .oracle import (
 from .portfolio import (
     MadModel,
     MadSolution,
+    ModelDomainError,
     ScenarioData,
     SolverConfig,
     build_mad_model,
@@ -89,6 +90,7 @@ __all__ = [
     "project_piece",
     "MadModel",
     "MadSolution",
+    "ModelDomainError",
     "ScenarioData",
     "SolverConfig",
     "build_mad_model",

@@ -5,13 +5,15 @@ the concatenated point (x then u). All verbs emit JSON on stdout; floats are
 written with 17 significant digits so output round-trips doubles losslessly.
 
 Exit codes: 0 success, 1 property violation (membership or deviation check
-failed), 2 parse error, 3 dimension mismatch, 4 non-convergence.
+failed), 2 parse error, 3 dimension mismatch, 4 non-convergence, 5 input
+outside the model's domain (c0 <= 0, a degenerate reference scenario).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from statistics import median
@@ -25,7 +27,7 @@ from .cones import (
     project_cone,
 )
 from .oracle import DykstraConfig, dykstra_project, mesoc_pieces
-from .portfolio import SolverConfig, read_returns_csv, refine_jstar
+from .portfolio import ModelDomainError, SolverConfig, read_returns_csv, refine_jstar
 from .projection import (
     MesocPoint,
     mesoc_contains,
@@ -41,10 +43,12 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NONCONVERGENCE = 4
+EXIT_DOMAIN = 5
 
 _VECTOR_CONES = ("monotone", "monotone-dual", "monotone-nonneg", "monotone-nonneg-dual")
 _CONE_CHOICES = ("mesoc", "mesoc-dual") + _VECTOR_CONES
 _ORACLE_DIM_CAP = 8
+_FLOAT_TYPES = {float, np.float64}
 
 
 class CliError(Exception):
@@ -55,6 +59,14 @@ class CliError(Exception):
         self.code = code
 
 
+def _floats_json(values, sep: str) -> str:
+    """Floats at 17 significant digits joined by sep, in one formatting call."""
+    if not all(map(math.isfinite, values)):
+        bad = next(x for x in values if not math.isfinite(x))
+        raise ValueError(f"non-finite value {float(bad)!r} in JSON output")
+    return sep.join(["%.17g"] * len(values)) % tuple(values)
+
+
 def _scalar_json(value) -> str:
     if value is None:
         return "null"
@@ -63,17 +75,18 @@ def _scalar_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite value {x!r} in JSON output")
-        return format(x, ".17g")
+        return _floats_json((float(value),), "")
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def format_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with .17g floats (json.dumps cannot control that)."""
+    """Deterministic JSON with .17g floats (json.dumps cannot control that).
+
+    A list, tuple or array holding only floats is written in one pass;
+    any other list formats each item in turn.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, np.ndarray):
@@ -89,8 +102,12 @@ def format_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = ",\n".join(f"{inner}{format_json(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
+        sep = ",\n" + inner
+        if set(map(type, value)) <= _FLOAT_TYPES:
+            items = _floats_json(value, sep)
+        else:
+            items = sep.join(format_json(v, indent + 1) for v in value)
+        return "[\n" + inner + items + "\n" + pad + "]"
     return _scalar_json(value)
 
 
@@ -99,11 +116,14 @@ def _emit(payload) -> None:
 
 
 def parse_vector(text: str) -> np.ndarray:
-    """Comma-separated decimals; newlines count as separators too."""
-    cells = [c.strip() for c in text.replace("\n", ",").split(",")]
-    cells = [c for c in cells if c]
+    """Comma-separated decimals; newlines count as separators too.
+
+    Blank cells are skipped; float() itself ignores the whitespace around
+    a number.
+    """
+    cells = text.replace("\n", ",").split(",")
     try:
-        values = [float(c) for c in cells]
+        values = list(map(float, filter(str.strip, cells)))
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"malformed number in vector: {exc}") from None
     return np.asarray(values, dtype=np.float64)
@@ -368,6 +388,9 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
+    except ModelDomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -39,6 +39,10 @@ _PROB_SUM_TOL = 1e-12
 _W0_SUM_TOL = 1e-8
 
 
+class ModelDomainError(ValueError):
+    """Well-formed data outside the model's domain (c0 <= 0, degenerate j*)."""
+
+
 @dataclass(frozen=True)
 class ScenarioData:
     """Validated scenario return matrix (T x n) with scenario probabilities."""
@@ -152,7 +156,7 @@ def build_mad_model(data: ScenarioData, c0: float, w0=None) -> MadModel:
     toward the smallest index); its deviation norm sets the cone scale.
     """
     if c0 <= 0:
-        raise ValueError(f"risk aversion must be positive, got {c0}")
+        raise ModelDomainError(f"risk aversion must be positive, got {c0}")
     T, n = data.returns.shape
     if w0 is None:
         w0 = np.full(n, 1.0 / n)
@@ -168,7 +172,9 @@ def build_mad_model(data: ScenarioData, c0: float, w0=None) -> MadModel:
     jstar = int(np.argmin(np.abs(U @ w0)))
     uscale = float(np.linalg.norm(U[jstar]))
     if uscale == 0.0:
-        raise ValueError(f"reference scenario {jstar} has zero deviation; model is degenerate")
+        raise ModelDomainError(
+            f"reference scenario {jstar} has zero deviation; model is degenerate"
+        )
     return MadModel(
         r=r,
         U=U,

@@ -62,7 +62,7 @@ class MesocPoint:
 
     @property
     def u_norm(self) -> float:
-        return float(np.linalg.norm(self.u)) if self.u.size else 0.0
+        return _norm(self.u)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x, self.u])
@@ -157,9 +157,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+# below this a sum of squares may have lost terms to underflow; each lost
+# term is under 2**-1022, so above it they stay below n * 2**-122 relative
+_SUMSQ_FLOOR = 2.0**-900
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm that neither underflows nor overflows in its squares."""
+    sumsq = _dot(a, a)
+    if _SUMSQ_FLOOR <= sumsq < math.inf:
+        return math.sqrt(sumsq)
+    big = float(np.max(np.abs(a), initial=0.0))
+    if big == 0.0 or not math.isfinite(big):
+        return big
+    # rescale by a power of two, which is exact, so that max|a| is in [0.5, 1)
+    exp = math.frexp(big)[1]
+    scaled = np.ldexp(a, -exp)
+    return math.ldexp(math.sqrt(_dot(scaled, scaled)), exp)
+
+
 def _project_parts(z: np.ndarray, w: np.ndarray):
     """One lifted PAVA pass; returns (x, u, y, v, case, lam)."""
-    w_norm = math.sqrt(_dot(w, w))
+    w_norm = _norm(w)
     lifted = pava_nonincreasing_kernel(np.append(z, w_norm))
     np.maximum(lifted, 0.0, out=lifted)
     x = lifted[:-1]

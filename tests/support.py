@@ -1,6 +1,7 @@
 """Shared test oracles: brute-force projections and random cone members."""
 
 import itertools
+import json
 
 import numpy as np
 
@@ -124,3 +125,46 @@ def three_case_mesoc_projection(z, w):
     y = project_monotone_nonneg_dual(-f)
     y[-1] += b
     return x, (a / w_norm) * w, y, (-b / w_norm) * w, "Interior"
+
+
+def _reference_scalar_json(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if not np.isfinite(x):
+            raise ValueError(f"non-finite value {x!r} in JSON output")
+        return format(x, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def reference_format_json(value, indent: int = 0) -> str:
+    """Frozen per-element copy of the CLI's JSON writer, the byte reference.
+
+    Recurses once per list item and formats every float on its own; the
+    CLI's one-pass float lists must reproduce its output exactly.
+    """
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {reference_format_json(v, indent + 1)}"
+            for k, v in value.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(f"{inner}{reference_format_json(v, indent + 1)}" for v in value)
+        return "[\n" + items + "\n" + pad + "]"
+    return _reference_scalar_json(value)

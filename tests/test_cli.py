@@ -1,18 +1,25 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from mesoc.cli import (
     EXIT_DIMENSION,
+    EXIT_DOMAIN,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VIOLATION,
+    CliError,
     format_json,
     main,
     parse_vector,
 )
+from mesoc.projection import mesoc_dual_violation, project_mesoc, project_mesoc_dual
+from support import reference_format_json
+
+EXTREMES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 
 
 def run_cli(capsys, argv):
@@ -40,6 +47,95 @@ class TestWireFormat:
     def test_format_json_rejects_non_finite(self):
         with pytest.raises(ValueError):
             format_json(float("inf"))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1\r\n2\r\n3\r\n", [1.0, 2.0, 3.0]),
+            ("1,2,3,", [1.0, 2.0, 3.0]),
+            ("1\n\n2\n \n3\n\n", [1.0, 2.0, 3.0]),
+            ("  1 ,\t2\t, 3  ", [1.0, 2.0, 3.0]),
+            ("-0,0", [-0.0, 0.0]),
+        ],
+    )
+    def test_parse_vector_edge_cases(self, text, expected):
+        got = parse_vector(text)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("text", ["1,2 3", "1,,x\n", "1;2"])
+    def test_parse_vector_malformed_cell(self, text):
+        with pytest.raises(CliError) as info:
+            parse_vector(text)
+        assert info.value.code == EXIT_PARSE
+
+
+def project_payload(n):
+    rng = np.random.default_rng(11)
+    z, w = rng.standard_normal(n), rng.standard_normal(n)
+    return {"cone": "mesoc", **project_mesoc(z, w).to_dict()}
+
+
+def mesoc_dual_payload(n):
+    rng = np.random.default_rng(12)
+    z, w = rng.standard_normal(n), rng.standard_normal(n)
+    proj = project_mesoc_dual(z, w)
+    return {
+        "cone": "mesoc-dual",
+        "p": n,
+        "q": n,
+        "input": np.concatenate([z, w]).tolist(),
+        "projection": proj.as_vector().tolist(),
+        "violation": mesoc_dual_violation(proj),
+    }
+
+
+class TestFormatJsonBytes:
+    """format_json against the frozen per-element writer in tests/support.py."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            project_payload(10_000),
+            mesoc_dual_payload(50),
+            EXTREMES,
+            np.array(EXTREMES),
+            tuple(EXTREMES),
+            [np.float64(x) for x in EXTREMES],
+            {"x": -0.0, "tiny": 5e-324, "big": 1.7976931348623157e308},
+            [np.int64(-3), np.int32(7), np.uint8(255), True, False, None],
+            {"n": np.int64(2**62), "flag": False, "none": None},
+            ['say "hi"', "back\\slash", "ünïcødé ✓", "tab\tnew\nline"],
+            {'key "q"': "ü", "ключ": ["x", 1.5]},
+            [],
+            {},
+            np.array([]),
+            {"empty": [], "nothing": {}, "arr": np.array([])},
+            np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0,
+            {"outer": {"inner": {"xs": [0.1, 0.2], "n": 3}}},
+            [{"instance": 0, "deviation": 1e-17, "cycles": 12, "converged": True}] * 3,
+            [1, 2.5, -0.0, 3, np.float32(0.1), np.float16(2.0)],
+            [[1.0, 2.0], [], [3.0]],
+            1.0 / 3.0,
+            np.float32(0.1),
+            "plain",
+        ],
+    )
+    def test_same_bytes_as_reference(self, value):
+        got, want = format_json(value), reference_format_json(value)
+        if got != want:
+            # report the first difference; pytest's diff of megabyte strings never ends
+            at = len(os.path.commonprefix([got, want]))
+            pytest.fail(f"bytes differ at {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_in_long_list_raises(self, bad):
+        values = [0.1] * 5000 + [bad] + [0.2] * 5000
+        with pytest.raises(ValueError) as want:
+            reference_format_json(values)
+        with pytest.raises(ValueError) as got:
+            format_json({"xs": np.array(values)})
+        assert str(got.value) == str(want.value)
 
 
 class TestProject:
@@ -266,6 +362,24 @@ class TestSolvePortfolio:
         path.write_text("0.1,0.2\n0.3\n")
         code, _, _ = run_cli(capsys, ["solve-portfolio", "--file", str(path)])
         assert code == EXIT_DIMENSION
+
+    @pytest.mark.parametrize(
+        "rows, c0",
+        [
+            ("0.5,0.0\n0.0,0.25\n0.25,0.5\n", "0"),
+            ("0.5,0.0\n0.0,0.25\n0.25,0.5\n", "-1"),
+            ("0.1,0.2\n0.1,0.2\n", "1"),  # every scenario equal: j* has no deviation
+        ],
+    )
+    def test_model_domain_exits_5(self, capsys, tmp_path, rows, c0):
+        path = tmp_path / "r.csv"
+        path.write_text(rows)
+        code, out, err = run_cli(
+            capsys, ["solve-portfolio", "--file", str(path), f"--c0={c0}"]
+        )
+        assert code == EXIT_DOMAIN
+        assert out is None
+        assert "error:" in err
 
     def test_impossible_tolerance_exits_4(self, capsys, tmp_path):
         # non-dyadic returns leave a rounding residual ~1e-16 that can never

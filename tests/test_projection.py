@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -232,6 +234,29 @@ class TestThreeCaseReference:
             ):
                 assert np.linalg.norm(got - want) <= 1e-15 * scale
         assert min(seen.values()) >= 100 and q_zero > 0, (seen, q_zero)
+
+
+class TestUnderflow:
+    """Inputs whose squares underflow still project into both cones."""
+
+    @pytest.mark.parametrize(
+        "z, w", [([0.0], [1e-300, 1e-300]), ([1e-320, 2e-320], [3e-320])]
+    )
+    def test_projection_lies_in_both_cones(self, z, w):
+        cert = project_mesoc(z, w)
+        x, u = cert.primal.x, cert.primal.u
+        y, v = cert.dual_of_neg.x, cert.dual_of_neg.u
+        # membership from the returned vectors, with hypot as the norm
+        tol = 8 * np.finfo(float).eps * max(map(abs, z + w)) + 4 * 2.0**-1074
+        assert np.all(np.diff(x) <= tol)
+        assert x[-1] >= math.hypot(*u) - tol
+        assert np.all(np.cumsum(y)[:-1] >= -tol)
+        assert np.sum(y) >= math.hypot(*v) - tol
+        np.testing.assert_allclose(x - y, z, rtol=0, atol=tol)
+        np.testing.assert_allclose(u - v, w, rtol=0, atol=tol)
+
+    def test_violation_sees_tiny_norm(self):
+        assert mesoc_violation(MesocPoint([0.0], [1e-300, 1e-300])) > 0.0
 
 
 class TestMoreau:
