@@ -16,22 +16,16 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from statistics import median
 
 import numpy as np
 
-from .cones import (
-    DimensionError,
-    cone_contains,
-    cone_violation,
-    project_cone,
-)
+from .cones import DimensionError, cone_violation, project_cone
 from .oracle import DykstraConfig, dykstra_project, mesoc_pieces
 from .portfolio import ModelDomainError, SolverConfig, read_returns_csv, refine_jstar
 from .projection import (
     MesocPoint,
-    mesoc_contains,
-    mesoc_dual_contains,
     mesoc_dual_violation,
     mesoc_violation,
     project_mesoc,
@@ -47,6 +41,9 @@ EXIT_DOMAIN = 5
 
 _VECTOR_CONES = ("monotone", "monotone-dual", "monotone-nonneg", "monotone-nonneg-dual")
 _CONE_CHOICES = ("mesoc", "mesoc-dual") + _VECTOR_CONES
+# each --cone value's violation function, taking what _point returns for it
+_VIOLATIONS = {"mesoc": mesoc_violation, "mesoc-dual": mesoc_dual_violation}
+_VIOLATIONS.update({c: partial(cone_violation, c) for c in _VECTOR_CONES})
 _ORACLE_DIM_CAP = 8
 _FLOAT_TYPES = {float, np.float64}
 
@@ -141,24 +138,26 @@ def _read_vector(args) -> np.ndarray:
         raise CliError(EXIT_PARSE, f"cannot read {args.file}: {exc}") from None
 
 
-def _split_point(vec: np.ndarray, p: int, q: int) -> MesocPoint:
-    if p < 1 or q < 0:
-        raise DimensionError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
-    if vec.size != p + q:
-        raise DimensionError(f"vector has length {vec.size}, expected p+q = {p + q}")
-    return MesocPoint(vec[:p].copy(), vec[p:].copy())
+def _point(vec: np.ndarray, args) -> MesocPoint | np.ndarray:
+    """The input split as --cone takes it: a MesocPoint, or the plain vector."""
+    if args.cone in ("mesoc", "mesoc-dual"):
+        return MesocPoint.from_vector(vec, args.p, args.q)
+    if args.q:
+        raise DimensionError(f"cone {args.cone} takes no u block; drop --q or set it to 0")
+    if vec.size != args.p:
+        raise DimensionError(f"vector has length {vec.size}, expected p = {args.p}")
+    return vec
 
 
 def cmd_project(args) -> int:
     vec = _read_vector(args)
+    pt = _point(vec, args)
     if args.cone == "mesoc":
-        pt = _split_point(vec, args.p, args.q)
         payload = {"cone": "mesoc"}
         payload.update(project_mesoc(pt.x, pt.u).to_dict())
         _emit(payload)
         return EXIT_OK
     if args.cone == "mesoc-dual":
-        pt = _split_point(vec, args.p, args.q)
         proj = project_mesoc_dual(pt.x, pt.u)
         _emit(
             {
@@ -171,11 +170,7 @@ def cmd_project(args) -> int:
             }
         )
         return EXIT_OK
-    if args.q:
-        raise DimensionError(f"cone {args.cone} takes no u block; drop --q or set it to 0")
-    if vec.size != args.p:
-        raise DimensionError(f"vector has length {vec.size}, expected p = {args.p}")
-    proj = project_cone(args.cone, vec)
+    proj = project_cone(args.cone, pt)
     _emit(
         {
             "cone": args.cone,
@@ -189,26 +184,15 @@ def cmd_project(args) -> int:
 
 
 def cmd_check(args) -> int:
-    vec = _read_vector(args)
-    if args.cone in ("mesoc", "mesoc-dual"):
-        pt = _split_point(vec, args.p, args.q)
-        if args.cone == "mesoc":
-            member = mesoc_contains(pt, args.tol)
-            violation = mesoc_violation(pt)
-        else:
-            member = mesoc_dual_contains(pt, args.tol)
-            violation = mesoc_dual_violation(pt)
-    else:
-        if args.q:
-            raise DimensionError(f"cone {args.cone} takes no u block; drop --q or set it to 0")
-        if vec.size != args.p:
-            raise DimensionError(f"vector has length {vec.size}, expected p = {args.p}")
-        member = cone_contains(args.cone, vec, args.tol)
-        violation = cone_violation(args.cone, vec)
+    pt = _point(_read_vector(args), args)
+    if args.tol < 0:
+        raise ValueError("tol must be nonnegative")
+    violation = _VIOLATIONS[args.cone](pt)
+    member = violation <= args.tol
     _emit(
         {
             "cone": args.cone,
-            "member": bool(member),
+            "member": member,
             "violation": violation,
             "tol": args.tol,
         }
@@ -222,10 +206,10 @@ def cmd_oracle_compare(args) -> int:
             f"oracle comparison is capped at p, q <= {_ORACLE_DIM_CAP}; "
             f"got p={args.p}, q={args.q}"
         )
-    if args.p < 1 or args.q < 0 or args.count < 0:
-        raise DimensionError("need p >= 1, q >= 0, count >= 0")
-    rng = np.random.default_rng(args.seed)
+    if args.count < 0:
+        raise DimensionError("need count >= 0")
     pieces = mesoc_pieces(args.p, args.q)
+    rng = np.random.default_rng(args.seed)
     cfg = DykstraConfig()
     rows = []
     all_converged = True

@@ -1,11 +1,15 @@
 """Projections and membership tests for monotone cones and their duals.
 
-The four cones handled here, all in R^p:
+The five cones handled here, all in R^p:
 
 * monotone cone          {x : x_1 >= x_2 >= ... >= x_p}
 * its dual               {y : sum(y_1..y_j) >= 0 for j < p, sum(y) = 0}
 * monotone nonnegative   {x : x_1 >= ... >= x_p >= 0}
 * its dual               {y : sum(y_1..y_j) >= 0 for j <= p}
+* nonnegative orthant    {x : x_i >= 0 for all i}, its own dual
+
+Each cone's defining inequalities are written once, in `cone_violation`;
+membership within tol means `cone_violation(cone, z) <= tol`.
 
 The primal projections reduce to pool-adjacent-violators isotonic
 regression (nonincreasing direction, unweighted); the projection onto
@@ -112,19 +116,7 @@ def cone_contains(cone: ConeId, z, tol: float = 0.0) -> bool:
     """Membership test with absolute tolerance on every defining inequality."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    z = as_vector(z)
-    cone = ConeId(cone)
-    if cone is ConeId.MONOTONE:
-        return bool(np.all(np.diff(z) <= tol))
-    if cone is ConeId.MONOTONE_NONNEG:
-        return bool(np.all(np.diff(z) <= tol) and z[-1] >= -tol)
-    if cone is ConeId.NONNEG_ORTHANT:
-        return bool(np.all(z >= -tol))
-    prefixes = np.cumsum(z)
-    if cone is ConeId.MONOTONE_DUAL:
-        return bool(np.all(prefixes[:-1] >= -tol) and abs(prefixes[-1]) <= tol)
-    # monotone nonnegative dual: every prefix sum, including the total
-    return bool(np.all(prefixes >= -tol))
+    return cone_violation(cone, z) <= tol
 
 
 def cone_violation(cone: ConeId, z) -> float:

@@ -204,11 +204,11 @@ def piece_violation(piece: ConvexPiece, z) -> float:
     return float(max(0.0, vn - s0))
 
 
-def _difference_halfspaces(p: int) -> list[ConvexPiece]:
-    # x_i - x_{i+1} >= 0 for i = 1..p-1
+def _difference_halfspaces(p: int, dim: int) -> list[ConvexPiece]:
+    # x_i - x_{i+1} >= 0 for i = 1..p-1, in ambient dimension dim
     pieces: list[ConvexPiece] = []
     for i in range(p - 1):
-        a = np.zeros(p)
+        a = np.zeros(dim)
         a[i] = 1.0
         a[i + 1] = -1.0
         pieces.append(Halfspace(a, 0.0))
@@ -228,7 +228,7 @@ def _prefix_halfspaces(p: int, dim: int) -> list[ConvexPiece]:
 def monotone_pieces(p: int) -> list[ConvexPiece]:
     """Pairwise difference halfspaces; empty for p = 1 (the whole line)."""
     _check_dims(p)
-    return _difference_halfspaces(p)
+    return _difference_halfspaces(p, p)
 
 
 def monotone_dual_pieces(p: int) -> list[ConvexPiece]:
@@ -240,7 +240,7 @@ def monotone_dual_pieces(p: int) -> list[ConvexPiece]:
 
 def monotone_nonneg_pieces(p: int) -> list[ConvexPiece]:
     _check_dims(p)
-    pieces = _difference_halfspaces(p)
+    pieces = _difference_halfspaces(p, p)
     pieces.append(NonnegOrthant(tuple(range(p))))
     return pieces
 
@@ -255,12 +255,7 @@ def monotone_nonneg_dual_pieces(p: int) -> list[ConvexPiece]:
 def mesoc_pieces(p: int, q: int) -> list[ConvexPiece]:
     """Difference halfspaces on x plus one Lorentz block tying x_p to u."""
     _check_dims(p, q)
-    pieces: list[ConvexPiece] = []
-    for i in range(p - 1):
-        a = np.zeros(p + q)
-        a[i] = 1.0
-        a[i + 1] = -1.0
-        pieces.append(Halfspace(a, 0.0))
+    pieces = _difference_halfspaces(p, p + q)
     pieces.append(LorentzBlock((p - 1,), tuple(range(p, p + q))))
     return pieces
 

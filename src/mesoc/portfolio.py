@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import DimensionError
+from .cones import DimensionError, as_vector
 from .oracle import dykstra_callables
 from .projection import MesocPoint, mesoc_violation, project_mesoc_parts
 
@@ -161,7 +161,7 @@ def build_mad_model(data: ScenarioData, c0: float, w0=None) -> MadModel:
     if w0 is None:
         w0 = np.full(n, 1.0 / n)
     else:
-        w0 = np.asarray(w0, dtype=np.float64)
+        w0 = as_vector(w0, "w0")
         if w0.shape != (n,):
             raise DimensionError(f"w0 must have length {n}")
         if abs(float(w0.sum()) - 1.0) > _W0_SUM_TOL:

@@ -5,6 +5,9 @@ The monotone extended second-order cone (MESOC) in R^{p+q} is
     L(p, q)  = {(x, u) : x_1 >= x_2 >= ... >= x_p >= ||u||},
     L*(p, q) = {(y, v) : sum(y_1..y_j) >= 0 for j < p, sum(y) >= ||v||}.
 
+Their inequalities are written once, in `mesoc_violation` and
+`mesoc_dual_violation`; membership within tol means violation <= tol.
+
 Projecting onto L reduces to a single isotonic regression. For a fixed
 t = ||u|| the closest u is (t/||w||) w, so the whole projection is the
 projection l of the lifted vector (z, ||w||) in R^{p+1} onto the monotone
@@ -34,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from ._pava import pava_nonincreasing_kernel
-from .cones import DimensionError, as_vector
+from .cones import ConeId, DimensionError, as_vector, cone_contains
 
 
 @dataclass(frozen=True)
@@ -122,20 +125,14 @@ def mesoc_contains(pt: MesocPoint, tol: float = 0.0) -> bool:
     """True iff x is nonincreasing and x_p >= ||u||, within tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    x = pt.x
-    if not np.all(np.diff(x) <= tol):
-        return False
-    return bool(x[-1] >= pt.u_norm - tol)
+    return mesoc_violation(pt) <= tol
 
 
 def mesoc_dual_contains(pt: MesocPoint, tol: float = 0.0) -> bool:
     """True iff all proper prefix sums of y are >= 0 and sum(y) >= ||v||, within tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    prefixes = np.cumsum(pt.x)
-    if not np.all(prefixes[:-1] >= -tol):
-        return False
-    return bool(prefixes[-1] >= pt.u_norm - tol)
+    return mesoc_dual_violation(pt) <= tol
 
 
 def mesoc_violation(pt: MesocPoint) -> float:
@@ -145,6 +142,7 @@ def mesoc_violation(pt: MesocPoint) -> float:
 
 
 def mesoc_dual_violation(pt: MesocPoint) -> float:
+    """Largest violation of the dual cone inequalities (0 for members)."""
     prefixes = np.cumsum(pt.x)
     return float(
         max(0.0, -np.min(prefixes[:-1], initial=0.0), pt.u_norm - prefixes[-1])
@@ -262,9 +260,7 @@ def complementarity_check(a: MesocPoint, b: MesocPoint, tol: float = 1e-8) -> Co
         raise DimensionError(
             f"dimension mismatch: ({a.p},{a.q}) vs ({b.p},{b.q})"
         )
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    in_primal = mesoc_contains(a, tol)
+    in_primal = mesoc_contains(a, tol)  # raises for a negative tol
     in_dual = mesoc_dual_contains(b, tol)
     inner = float(np.dot(a.as_vector(), b.as_vector()))
     ok = in_primal and in_dual and abs(inner) <= tol
@@ -278,8 +274,8 @@ def complementarity_check(a: MesocPoint, b: MesocPoint, tol: float = 1e-8) -> Co
         sy = b.x.copy()
         sy[-1] -= v_norm
         shifted = (
-            bool(np.all(np.diff(sx) <= tol) and sx[-1] >= -tol)
-            and bool(np.all(np.cumsum(sy) >= -tol))
+            cone_contains(ConeId.MONOTONE_NONNEG, sx, tol)
+            and cone_contains(ConeId.MONOTONE_NONNEG_DUAL, sy, tol)
             and abs(float(np.dot(sx, sy))) <= tol
         )
         return ComplementarityReport(

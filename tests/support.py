@@ -5,7 +5,12 @@ import json
 
 import numpy as np
 
-from mesoc.cones import project_monotone_nonneg, project_monotone_nonneg_dual
+from mesoc.cones import (
+    ConeId,
+    as_vector,
+    project_monotone_nonneg,
+    project_monotone_nonneg_dual,
+)
 
 
 def brute_isotonic_nonincreasing(z):
@@ -168,3 +173,46 @@ def reference_format_json(value, indent: int = 0) -> str:
         items = ",\n".join(f"{inner}{reference_format_json(v, indent + 1)}" for v in value)
         return "[\n" + items + "\n" + pad + "]"
     return _reference_scalar_json(value)
+
+
+def reference_cone_contains(cone, z, tol=0.0):
+    """Frozen copy of the membership test that wrote each inequality inline.
+
+    The library now derives membership from `cone_violation(cone, z) <= tol`;
+    this copy tests the inequalities directly, as the reference for it.
+    """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    z = as_vector(z)
+    cone = ConeId(cone)
+    if cone is ConeId.MONOTONE:
+        return bool(np.all(np.diff(z) <= tol))
+    if cone is ConeId.MONOTONE_NONNEG:
+        return bool(np.all(np.diff(z) <= tol) and z[-1] >= -tol)
+    if cone is ConeId.NONNEG_ORTHANT:
+        return bool(np.all(z >= -tol))
+    prefixes = np.cumsum(z)
+    if cone is ConeId.MONOTONE_DUAL:
+        return bool(np.all(prefixes[:-1] >= -tol) and abs(prefixes[-1]) <= tol)
+    # monotone nonnegative dual: every prefix sum, including the total
+    return bool(np.all(prefixes >= -tol))
+
+
+def reference_mesoc_contains(pt, tol=0.0):
+    """Frozen inline test of x nonincreasing and x_p >= ||u||, within tol."""
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    x = pt.x
+    if not np.all(np.diff(x) <= tol):
+        return False
+    return bool(x[-1] >= pt.u_norm - tol)
+
+
+def reference_mesoc_dual_contains(pt, tol=0.0):
+    """Frozen inline test of proper prefix sums >= 0 and sum(y) >= ||v||, within tol."""
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    prefixes = np.cumsum(pt.x)
+    if not np.all(prefixes[:-1] >= -tol):
+        return False
+    return bool(prefixes[-1] >= pt.u_norm - tol)

@@ -22,6 +22,11 @@ from support import reference_format_json
 EXTREMES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 
 
+def inline(values):
+    """--inline text for values at 17 digits; the = form lets a leading minus through."""
+    return "--inline=" + ",".join(format(v, ".17g") for v in values)
+
+
 def run_cli(capsys, argv):
     """Invoke the entry point and return (exit code, parsed stdout, stderr)."""
     code = main(argv)
@@ -252,6 +257,34 @@ class TestCheck:
         assert code == EXIT_OK
         assert out["member"] is True
 
+    @pytest.mark.parametrize(
+        "cone",
+        ["mesoc", "mesoc-dual", "monotone", "monotone-dual", "monotone-nonneg",
+         "monotone-nonneg-dual"],
+    )
+    def test_member_is_violation_within_tol(self, capsys, cone):
+        p, q = (3, 2) if cone.startswith("mesoc") else (4, 0)
+        dims = ["--cone", cone, "--p", str(p), "--q", str(q)]
+        rng = np.random.default_rng(13)
+        codes = set()
+        for tol in ("0", "1e-9", "0.5"):
+            for _ in range(20):
+                # projections are members; moves off them may or may not be
+                _, out, _ = run_cli(capsys, ["project", *dims, inline(rng.standard_normal(p + q))])
+                proj = np.asarray(out["primal" if cone == "mesoc" else "projection"])
+                moved = proj + rng.choice([0.0, 1e-3, 1.0]) * rng.standard_normal(p + q)
+                code, out, _ = run_cli(capsys, ["check", *dims, inline(moved), f"--tol={tol}"])
+                assert out["member"] == (out["violation"] <= float(tol))
+                assert code == (EXIT_OK if out["member"] else EXIT_VIOLATION)
+                codes.add(code)
+        assert codes == {EXIT_OK, EXIT_VIOLATION}
+        code, _, _ = run_cli(capsys, ["check", *dims, inline(proj), "--tol=-1e-3"])
+        assert code == EXIT_PARSE
+        if q == 0:
+            wide = ["--cone", cone, "--p", str(p), "--q", "1"]
+            code, _, _ = run_cli(capsys, ["check", *wide, inline(np.ones(p + 1))])
+            assert code == EXIT_DIMENSION
+
     def test_round_trip_project_then_check(self, capsys):
         # the emitted primal and dual factors must pass membership at the same tol
         rng = np.random.default_rng(7)
@@ -272,6 +305,46 @@ class TestCheck:
             ["check", "--cone", "mesoc-dual", "--p", "4", "--q", "3", "--inline", dual],
         )
         assert code == EXIT_OK
+
+
+def faulty_vector_inputs():
+    """(argv, exit code) for check and project with exactly one fault each."""
+    cases = []
+    for verb in ("check", "project"):
+        for cone, p, q in (("mesoc", 2, 1), ("mesoc-dual", 2, 1), ("monotone-dual", 3, 0)):
+            good = ["--cone", cone, "--p", str(p), "--q", str(q), "--inline", "3,2,1"]
+            for cells, code in (
+                ("3,2,x", EXIT_PARSE),
+                ("3,nan,1", EXIT_PARSE),
+                ("1e999,2,1", EXIT_PARSE),
+                ("3,2", EXIT_DIMENSION),
+                ("3,2,1,0", EXIT_DIMENSION),
+                (",", EXIT_DIMENSION),
+            ):
+                cases.append(([verb, *good[:-1], cells], code))
+            cases.append(([verb, *good, "--p", "0"], EXIT_DIMENSION))
+            cases.append(([verb, *good, "--q", "-1" if q else "1"], EXIT_DIMENSION))
+    cases.append((["check", "--p", "2", "--q", "1", "--inline", "3,2,1", "--tol=-1"], EXIT_PARSE))
+    return cases
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, code", faulty_vector_inputs())
+    def test_check_and_project(self, capsys, argv, code):
+        assert run_cli(capsys, argv)[0] == code
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--p", "0"], EXIT_DIMENSION),
+            (["--q", "-1"], EXIT_DIMENSION),
+            (["--count", "-1"], EXIT_DIMENSION),
+            (["--p", "9"], EXIT_DIMENSION),
+            (["--seed", "-1"], EXIT_PARSE),
+        ],
+    )
+    def test_oracle_compare(self, capsys, flags, code):
+        assert run_cli(capsys, ["oracle-compare", "--count", "1", *flags])[0] == code
 
 
 class TestOracleCompare:

@@ -18,7 +18,7 @@ from mesoc.cones import (
     project_monotone_nonneg_dual,
     project_nonneg_orthant,
 )
-from support import brute_isotonic_nonincreasing
+from support import brute_isotonic_nonincreasing, reference_cone_contains
 
 vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64),
@@ -27,6 +27,7 @@ vectors = st.lists(
 ).map(np.asarray)
 
 ALL_CONES = list(ConeId)
+MEMBERSHIP_TOLS = [0.0, 1e-12, 1e-6, 0.5]
 
 
 class TestAsVector:
@@ -175,6 +176,19 @@ class TestMembership:
             member = cone_contains(cone, z, 0.0)
             violation = cone_violation(cone, z)
             assert member == (violation == 0.0)
+
+    @pytest.mark.parametrize("cone", ALL_CONES)
+    @pytest.mark.parametrize("tol", MEMBERSHIP_TOLS)
+    def test_matches_frozen_reference(self, cone, tol):
+        # projections sit on the boundary; noise at each scale lands a
+        # point a rounding, a tol, or far from it on either side
+        rng = np.random.default_rng(11)
+        for scale in (0.0, 1e-13, 1e-12, 1e-7, 1e-6, 0.3, 1.0):
+            for _ in range(200):
+                p = int(rng.integers(1, 7))
+                z = project_cone(cone, rng.standard_normal(p))
+                z = z + scale * rng.standard_normal(p)
+                assert cone_contains(cone, z, tol) is reference_cone_contains(cone, z, tol)
 
     @pytest.mark.parametrize("cone", ALL_CONES)
     def test_projection_lands_inside(self, cone):

@@ -145,6 +145,15 @@ class TestBuildMadModel:
         with pytest.raises(ValueError):
             build_mad_model(load_scenarios(R22), c0=1.0, w0=[2.0, 0.5])
 
+    @pytest.mark.parametrize("w0", [[np.nan, np.nan, 1.0], [np.inf, -np.inf, 1.0]])
+    def test_non_finite_w0_rejected(self, w0):
+        # the sum check alone lets these through: NaN compares false
+        data = load_scenarios(np.random.default_rng(51).normal(0.01, 0.05, (5, 3)))
+        with pytest.raises(ValueError, match="w0 contains NaN or Inf"):
+            build_mad_model(data, c0=1.0, w0=w0)
+        with pytest.raises(ValueError, match="w0 contains NaN or Inf"):
+            refine_jstar(data, 1.0, w_init=w0)
+
     def test_cone_costs_are_reversed_probabilities(self):
         data = load_scenarios(np.array([[0.2, 0.0], [0.0, 0.2], [0.1, -0.1]]), [0.2, 0.3, 0.5])
         model = build_mad_model(data, c0=2.0)

@@ -27,6 +27,8 @@ from mesoc.projection import (
 from support import (
     random_mesoc_dual_member,
     random_mesoc_member,
+    reference_mesoc_contains,
+    reference_mesoc_dual_contains,
     soc_project,
     three_case_mesoc_projection,
 )
@@ -75,6 +77,36 @@ class TestMembership:
             pt = MesocPoint(*random_instance(rng, 4, 3))
             assert mesoc_contains(pt) == (mesoc_violation(pt) == 0.0)
             assert mesoc_dual_contains(pt) == (mesoc_dual_violation(pt) == 0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6, 0.5])
+    def test_matches_frozen_reference(self, tol):
+        # members of either cone (exactly on the boundary or inside) and
+        # projection halves, each moved by noise at several scales
+        rng = np.random.default_rng(24)
+        for scale in (0.0, 1e-13, 1e-12, 1e-7, 1e-6, 0.3, 1.0):
+            for _ in range(100):
+                p, q = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+                cert = project_mesoc(*random_instance(rng, p, q))
+                points = [
+                    cert.primal.as_vector(),
+                    cert.dual_of_neg.as_vector(),
+                    np.concatenate(random_mesoc_member(rng, p, q, boundary=True)),
+                    np.concatenate(random_mesoc_member(rng, p, q)),
+                    np.concatenate(random_mesoc_dual_member(rng, p, q, boundary=True)),
+                    np.concatenate(random_mesoc_dual_member(rng, p, q)),
+                ]
+                for vec in points:
+                    pt = MesocPoint.from_vector(vec + scale * rng.standard_normal(p + q), p, q)
+                    assert mesoc_contains(pt, tol) is reference_mesoc_contains(pt, tol)
+                    assert mesoc_dual_contains(pt, tol) is reference_mesoc_dual_contains(pt, tol)
+
+    def test_negative_tol_rejected(self):
+        pt = MesocPoint(np.array([1.0]), np.array([0.5]))
+        for contains in (mesoc_contains, mesoc_dual_contains):
+            with pytest.raises(ValueError):
+                contains(pt, -1e-3)
+        with pytest.raises(ValueError):
+            complementarity_check(pt, pt, -1e-3)
 
     def test_cone_shift_equivalences(self):
         # (x,u) in the cone iff x - ||u||e is monotone nonnegative, and the
