@@ -1,4 +1,4 @@
-"""Command-line surface: project, check, oracle-compare, solve-portfolio, bench.
+"""Command-line surface: project, check, oracle-compare, solve-portfolio.
 
 Vectors travel as comma-separated decimals with --p/--q giving the split of
 the concatenated point (x then u). All verbs emit JSON on stdout; floats are
@@ -6,7 +6,8 @@ written with 17 significant digits so output round-trips doubles losslessly.
 
 Exit codes: 0 success, 1 property violation (membership or deviation check
 failed), 2 parse error, 3 dimension mismatch, 4 non-convergence, 5 input
-outside the model's domain (c0 <= 0, a degenerate reference scenario).
+outside the model's domain (c0 <= 0, a degenerate reference scenario), 6 a
+result outside the float range (a norm above the largest finite double).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import argparse
 import json
 import math
 import sys
-import time
 from functools import partial
-from statistics import median
 
 import numpy as np
 
@@ -38,6 +37,7 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_DOMAIN = 5
+EXIT_OVERFLOW = 6
 
 _VECTOR_CONES = ("monotone", "monotone-dual", "monotone-nonneg", "monotone-nonneg-dual")
 _CONE_CHOICES = ("mesoc", "mesoc-dual") + _VECTOR_CONES
@@ -258,54 +258,6 @@ def cmd_solve_portfolio(args) -> int:
     return EXIT_OK if sol.converged else EXIT_NONCONVERGENCE
 
 
-def _parse_dims(text: str) -> list[int]:
-    try:
-        dims = [int(c) for c in text.split(",") if c.strip()]
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"malformed dimension list: {exc}") from None
-    if not dims:
-        raise CliError(EXIT_PARSE, "dimension list is empty")
-    return dims
-
-
-def _time_projection(z: np.ndarray, w: np.ndarray) -> float:
-    t0 = time.perf_counter()
-    project_mesoc(z, w)
-    return (time.perf_counter() - t0) * 1e3
-
-
-def cmd_bench(args) -> int:
-    if args.count < 1:
-        raise CliError(EXIT_PARSE, "need at least one repetition")
-    ps = _parse_dims(args.p)
-    qs = _parse_dims(args.q)
-    if any(p < 1 for p in ps) or any(q < 1 for q in qs):
-        raise DimensionError("bench dimensions must be >= 1")
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for p in ps:
-        for q in qs:
-            random_ms = [
-                _time_projection(rng.standard_normal(p), rng.standard_normal(q))
-                for _ in range(args.count)
-            ]
-            # ascending inputs force PAVA to merge everything into one block
-            z_adv = np.linspace(-1.0, 1.0, p)
-            w_adv = np.full(q, 1.0 / np.sqrt(q))
-            ascending_ms = [_time_projection(z_adv, w_adv) for _ in range(args.count)]
-            rows.append(
-                {
-                    "p": p,
-                    "q": q,
-                    "reps": args.count,
-                    "median_random_ms": float(median(random_ms)),
-                    "median_ascending_ms": float(median(ascending_ms)),
-                }
-            )
-    _emit({"seed": args.seed, "reps": args.count, "rows": rows})
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mesoc",
@@ -352,13 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_solve_portfolio)
 
-    sp = sub.add_parser("bench", help="time projections over a grid of dimensions")
-    sp.add_argument("--p", default="1000", help="comma-separated list of p values")
-    sp.add_argument("--q", default="1000", help="comma-separated list of q values")
-    sp.add_argument("--count", type=int, default=5, help="repetitions per cell")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -375,6 +320,9 @@ def main(argv=None) -> int:
     except ModelDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -37,6 +37,12 @@ from .projection import MesocPoint, mesoc_violation, project_mesoc_parts
 
 _PROB_SUM_TOL = 1e-12
 _W0_SUM_TOL = 1e-8
+# subgradient step scale, Dykstra stopping rule for the inner feasibility
+# projection, and the iterate norm past which the loop reports divergence
+_STEP0 = 1.0
+_INNER_TOL = 1e-9
+_INNER_MAX_CYCLES = 20_000
+_DIVERGENCE_BOUND = 1e8
 
 
 class ModelDomainError(ValueError):
@@ -189,12 +195,7 @@ def build_mad_model(data: ScenarioData, c0: float, w0=None) -> MadModel:
 @dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 200
-    step0: float = 1.0
-    inner_tol: float = 1e-9
-    inner_max_cycles: int = 20_000
     feas_tol: float = 1e-7
-    divergence_bound: float = 1e8
-    polish: bool = True
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
 
     def project_feasible(vec):
         return dykstra_callables(
-            [project_cone_part, project_hyperplane], vec, cfg.inner_tol, cfg.inner_max_cycles
+            [project_cone_part, project_hyperplane], vec, _INNER_TOL, _INNER_MAX_CYCLES
         )
 
     # feasible start: uniform weights, deviation bounds on the cone boundary
@@ -288,7 +289,7 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
     iterations = 0
     for k in range(1, cfg.max_iter + 1):
         iterations = k
-        step = cfg.step0 / (cost_norm * np.sqrt(k)) if cost_norm > 0 else 0.0
+        step = _STEP0 / (cost_norm * np.sqrt(k)) if cost_norm > 0 else 0.0
         rep = project_feasible(v - step * cost)
         v = rep.point
         inner_ok = inner_ok and rep.converged
@@ -296,7 +297,7 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
         obj = float(np.dot(cost, v))
         if obj < best_obj:
             best_obj, best_v = obj, v
-        if float(np.linalg.norm(v)) > cfg.divergence_bound:
+        if float(np.linalg.norm(v)) > _DIVERGENCE_BOUND:
             diverged = True
             break
 
@@ -316,7 +317,7 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
         pool.append(rep.point)
     candidates = [finished(vec) for vec in pool]
 
-    if cfg.polish and not diverged:
+    if not diverged:
         polished = _kkt_candidate(model)
         if polished is not None:
             candidates.append(polished)

@@ -161,7 +161,10 @@ _SUMSQ_FLOOR = 2.0**-900
 
 
 def _norm(a: np.ndarray) -> float:
-    """Euclidean norm that neither underflows nor overflows in its squares."""
+    """Euclidean norm that neither underflows nor overflows in its squares.
+
+    Raises OverflowError when the norm itself is above the largest double.
+    """
     sumsq = _dot(a, a)
     if _SUMSQ_FLOOR <= sumsq < math.inf:
         return math.sqrt(sumsq)
@@ -171,7 +174,10 @@ def _norm(a: np.ndarray) -> float:
     # rescale by a power of two, which is exact, so that max|a| is in [0.5, 1)
     exp = math.frexp(big)[1]
     scaled = np.ldexp(a, -exp)
-    return math.ldexp(math.sqrt(_dot(scaled, scaled)), exp)
+    try:
+        return math.ldexp(math.sqrt(_dot(scaled, scaled)), exp)
+    except OverflowError:
+        raise OverflowError("norm exceeds the float range") from None
 
 
 def _project_parts(z: np.ndarray, w: np.ndarray):

@@ -9,6 +9,7 @@ from mesoc.cli import (
     EXIT_DOMAIN,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
+    EXIT_OVERFLOW,
     EXIT_PARSE,
     EXIT_VIOLATION,
     CliError,
@@ -346,6 +347,17 @@ class TestExitCodes:
     def test_oracle_compare(self, capsys, flags, code):
         assert run_cli(capsys, ["oracle-compare", "--count", "1", *flags])[0] == code
 
+    @pytest.mark.parametrize("verb", ["project", "check"])
+    def test_norm_overflow_exits_6(self, capsys, verb):
+        # ||u|| is about 2.1e308, above the largest double
+        code, out, err = run_cli(
+            capsys, [verb, "--p", "1", "--q", "2", "--inline", "1,1.5e308,1.5e308"]
+        )
+        assert code == EXIT_OVERFLOW
+        assert out is None
+        assert err.count("\n") == 1
+        assert err.startswith("error: norm exceeds the float range")
+
 
 class TestOracleCompare:
     def test_small_run_is_clean(self, capsys):
@@ -464,46 +476,3 @@ class TestSolvePortfolio:
         )
         assert code == EXIT_NONCONVERGENCE
         assert out["converged"] is False
-
-
-class TestBench:
-    def test_reports_medians(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["bench", "--p", "10", "--q", "10", "--count", "3"]
-        )
-        assert code == EXIT_OK
-        assert out["reps"] == 3
-        (row,) = out["rows"]
-        assert row["p"] == 10 and row["q"] == 10
-        assert row["median_random_ms"] >= 0.0
-        assert row["median_ascending_ms"] >= 0.0
-
-    def test_grid_of_dims(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["bench", "--p", "8,16", "--q", "4,8", "--count", "2"]
-        )
-        assert code == EXIT_OK
-        assert [(r["p"], r["q"]) for r in out["rows"]] == [
-            (8, 4), (8, 8), (16, 4), (16, 8),
-        ]
-
-    def test_doubling_p_stays_in_band(self, capsys):
-        # near-linear scaling; band kept loose to tolerate timer noise
-        code, out, _ = run_cli(
-            capsys, ["bench", "--p", "50000,100000", "--q", "1", "--count", "7"]
-        )
-        assert code == EXIT_OK
-        small, large = (r["median_random_ms"] for r in out["rows"])
-        assert large <= 4.0 * max(small, 1e-3)
-
-    def test_zero_reps_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, ["bench", "--count", "0"])
-        assert code == EXIT_PARSE
-
-    def test_malformed_dim_list_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, ["bench", "--p", "10,oops"])
-        assert code == EXIT_PARSE
-
-    def test_nonpositive_dim_exits_3(self, capsys):
-        code, _, _ = run_cli(capsys, ["bench", "--p", "0"])
-        assert code == EXIT_DIMENSION

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from mesoc import portfolio
 from mesoc.cones import DimensionError
 from mesoc.portfolio import (
-    SolverConfig,
     build_mad_model,
     load_scenarios,
     read_returns_csv,
@@ -30,6 +30,12 @@ def bounded_instance(rng, T, n, margin=0.1):
     r_perp = float(np.linalg.norm(probe.r - probe.r.mean()))
     c0 = (r_perp + margin) / probe.uscale + margin
     return data, build_mad_model(data, c0)
+
+
+def unbounded_model():
+    """bounded_instance's scenario recipe with c0 too small for a bounded model."""
+    data = load_scenarios(np.random.default_rng(61).normal(0.01, 0.05, (5, 4)))
+    return build_mad_model(data, 1e-3)
 
 
 class TestLoadScenarios:
@@ -235,17 +241,59 @@ class TestSolveMad:
         expected = model.c0 * float(f @ np.abs(U @ sol.w)) - float(r @ sol.w)
         assert sol.mad_objective == pytest.approx(expected, abs=1e-12)
 
-    def test_divergence_guard_flags_nonconvergence(self):
+    def test_divergence_guard_flags_nonconvergence(self, monkeypatch):
         rng = np.random.default_rng(56)
         _, model = bounded_instance(rng, 3, 3)
-        sol = solve_mad(model, SolverConfig(divergence_bound=1e-6))
+        monkeypatch.setattr(portfolio, "_DIVERGENCE_BOUND", 1e-6)
+        sol = solve_mad(model)
         assert not sol.converged
 
-    def test_polish_off_still_feasible(self):
-        rng = np.random.default_rng(57)
-        _, model = bounded_instance(rng, 4, 2)
-        sol = solve_mad(model, SolverConfig(polish=False))
-        assert sol.feasibility.max_residual <= 1e-7
+    def test_unbounded_iterates_feasible(self):
+        # no closed-form candidate here, so the answer is an iterate
+        model = unbounded_model()
+        assert portfolio._kkt_candidate(model) is None
+        sol = solve_mad(model)
+        assert sol.feasibility.sum_u_residual <= 1e-7
+        assert sol.feasibility.cone_violation <= 1e-7
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFrozenDefaults:
+    """solve_mad outputs at the default settings, stored as float.hex and
+    frozen from the solver whose step, inner tolerance, cycle cap,
+    divergence bound and closed-form switch were SolverConfig fields."""
+
+    def test_bounded_closed_form_wins(self):
+        _, model = bounded_instance(np.random.default_rng(62), 4, 3)
+        sol = solve_mad(model)
+        assert _hexes(sol.w) == [
+            "0x1.9fbfc40894d19p-2", "0x1.afbf08d3c0bd6p-3", "0x1.8860b78d8acfbp-2",
+        ]
+        assert _hexes(sol.y) == ["0x1.14b64875e691dp-6"] * 4
+        assert sol.objective.hex() == "0x1.b8226d3b463f9p-4"
+        assert sol.iterations == 200
+
+    def test_unbounded_iterate_wins(self):
+        sol = solve_mad(unbounded_model())
+        assert _hexes(sol.w) == [
+            "-0x1.18083b412be64p+4",
+            "0x1.26267ace828e2p+4",
+            "0x1.38228ab9caee2p+3",
+            "-0x1.345f09d4783dep+3",
+        ]
+        assert _hexes(sol.y) == ["0x1.dbc1e30c156a3p+1"] * 5
+        assert sol.objective.hex() == "-0x1.426c66e6a5852p+0"
+        assert sol.iterations == 200
+
+    def test_unreached_limits_keep_their_values(self):
+        # neither instance above reaches the cycle cap (at most 76 cycles)
+        # or the divergence bound (iterate norms stay below 10), so their
+        # outputs cannot pin these two
+        assert portfolio._INNER_MAX_CYCLES == 20_000
+        assert portfolio._DIVERGENCE_BOUND == 1e8
 
 
 class TestRefineJstar:

@@ -291,6 +291,18 @@ class TestUnderflow:
         assert mesoc_violation(MesocPoint([0.0], [1e-300, 1e-300])) > 0.0
 
 
+class TestOverflow:
+    """A norm above the largest double is reported as such."""
+
+    def test_u_norm(self):
+        with pytest.raises(OverflowError, match="norm exceeds the float range"):
+            MesocPoint([1.0], [1.5e308, 1.5e308]).u_norm
+
+    def test_projection(self):
+        with pytest.raises(OverflowError, match="norm exceeds the float range"):
+            project_mesoc([0.0], [1.5e308, 1.5e308])
+
+
 class TestMoreau:
     @given(dims, st.integers(0, 2**31))
     def test_certificate_residuals(self, dims_, seed):

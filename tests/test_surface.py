@@ -1,9 +1,15 @@
-"""The public surface: exported names and the flags of each CLI verb.
+"""The public surface: exported names, solver settings, the flags of each
+CLI verb, and what importing the package loads.
 
 A change that adds a knob or drops a feature has to edit these lists.
 """
 
 import argparse
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mesoc
 from mesoc.cli import build_parser
@@ -65,7 +71,6 @@ VERB_FLAGS = {
     "solve-portfolio": [
         "--c0", "--file", "--help", "--max-iter", "--probabilities-column", "--tol", "-h",
     ],
-    "bench": ["--count", "--help", "--p", "--q", "--seed", "-h"],
 }
 CONE_CHOICES = (
     "mesoc",
@@ -94,3 +99,24 @@ def test_cli_flags_unchanged():
         assert sorted(o for a in actions for o in a.option_strings) == flags, verb
         cone = [a for a in actions if "--cone" in a.option_strings]
         assert [a.choices for a in cone] == ([CONE_CHOICES] if "--cone" in flags else [])
+
+
+def test_solver_settings_unchanged():
+    # the two values solve-portfolio sets from --max-iter and --tol
+    fields = [f.name for f in dataclasses.fields(mesoc.SolverConfig)]
+    assert fields == ["max_iter", "feas_tol"]
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize alone costs about 0.6 s and 49 MB to import, which
+    # every CLI call and benchmark process would pay
+    src = str(Path(mesoc.__file__).resolve().parents[1])
+    code = (
+        "import sys, mesoc, mesoc.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
