@@ -62,10 +62,15 @@ def as_vector(z, name: str = "z", allow_empty: bool = False) -> np.ndarray:
 def pava_nonincreasing(z) -> np.ndarray:
     """Euclidean projection onto the monotone cone {x_1 >= ... >= x_p}.
 
-    Pool-adjacent-violators with stack-based block merging: scan left to
-    right, pooling adjacent blocks whenever the left block mean falls below
-    the right one. O(p), exact (no internal tolerance); the output is
-    blockwise constant and each block value is the mean of its inputs.
+    Pool-adjacent-violators: above 128 values, numpy rounds first pool
+    every chain of adjacent blocks whose means rise; a stack loop then
+    scans the blocks left to right, pooling adjacent blocks whenever the
+    left block mean falls below the right one. O(p) on every input, exact
+    (no internal tolerance); the output is blockwise constant and each
+    block value is the mean of its inputs.
+
+    Raises OverflowError when a pooled block mean is above the largest
+    double, e.g. for [1e308, 1.7e308].
     """
     z = as_vector(z)
     return pava_nonincreasing_kernel(z)

@@ -41,6 +41,31 @@ def brute_isotonic_nonincreasing(z):
     return best
 
 
+def reference_pava_nonincreasing(z):
+    """Frozen stack loop of PAVA, the reference for the kernel's rounds.
+
+    One pass left to right over unit blocks, merging a block into its left
+    neighbour while the left mean is below it, with running weighted means.
+    This was the whole kernel before the numpy rounds; the kernel still
+    runs exactly this loop at or below `_pava._SMALL` values.
+    """
+    means = [np.inf]
+    counts = [0]
+    for m2 in np.asarray(z, dtype=np.float64).tolist():
+        c2 = 1
+        m1 = means[-1]
+        while m1 < m2:
+            means.pop()
+            c1 = counts.pop()
+            c = c1 + c2
+            m2 = (m1 * c1 + m2 * c2) / c
+            c2 = c
+            m1 = means[-1]
+        means.append(m2)
+        counts.append(c2)
+    return np.repeat(np.array(means[1:], dtype=np.float64), counts[1:])
+
+
 def soc_project(t, w):
     """Closed-form projection onto the second-order cone {(t, w): t >= ||w||}."""
     w = np.asarray(w, dtype=np.float64)

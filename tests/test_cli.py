@@ -358,6 +358,23 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error: norm exceeds the float range")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--q", "1", "--inline", "1e308,1.7e308,0"],
+            ["--cone", "monotone", "--inline", "1e308,1.7e308"],
+        ],
+        ids=["mesoc", "monotone"],
+    )
+    def test_kernel_overflow_exits_6(self, capsys, flags):
+        # the pooled mean of 1e308 and 1.7e308 is above the largest double,
+        # which is an overflow, not an input that "contains NaN or Inf"
+        code, out, err = run_cli(capsys, ["project", "--p", "2", *flags])
+        assert code == EXIT_OVERFLOW
+        assert out is None
+        assert err.count("\n") == 1
+        assert err.startswith("error: a pooled block mean exceeds the float range")
+
 
 class TestOracleCompare:
     def test_small_run_is_clean(self, capsys):

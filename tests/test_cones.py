@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mesoc import _pava
 from mesoc.cones import (
     ConeId,
     DimensionError,
@@ -28,6 +31,15 @@ vectors = st.lists(
 
 ALL_CONES = list(ConeId)
 MEMBERSHIP_TOLS = [0.0, 1e-12, 1e-6, 0.5]
+
+# The brute-force and Moreau tests use vectors far shorter than the kernel's
+# threshold for its numpy rounds, so each runs with the threshold as
+# configured and then with 0, which sends every length through the rounds.
+KERNEL_THRESHOLDS = (_pava._SMALL, 0)
+
+
+def kernel_threshold(small):
+    return mock.patch.object(_pava, "_SMALL", small)
 
 
 class TestAsVector:
@@ -82,20 +94,23 @@ class TestPava:
         rng = np.random.default_rng(100 + p)
         for _ in range(50):
             z = rng.standard_normal(p)
-            np.testing.assert_allclose(
-                pava_nonincreasing(z), brute_isotonic_nonincreasing(z), atol=1e-12
-            )
+            brute = brute_isotonic_nonincreasing(z)
+            for small in KERNEL_THRESHOLDS:
+                with kernel_threshold(small):
+                    np.testing.assert_allclose(pava_nonincreasing(z), brute, atol=1e-12)
 
     def test_blockwise_means(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             z = rng.standard_normal(12)
-            r = pava_nonincreasing(z)
-            assert np.all(np.diff(r) <= 1e-12)
-            # each maximal constant block averages its inputs
-            starts = [0] + [i for i in range(1, 12) if abs(r[i] - r[i - 1]) > 1e-12]
-            for a, b in zip(starts, starts[1:] + [12]):
-                np.testing.assert_allclose(r[a], z[a:b].mean(), atol=1e-12)
+            for small in KERNEL_THRESHOLDS:
+                with kernel_threshold(small):
+                    r = pava_nonincreasing(z)
+                assert np.all(np.diff(r) <= 1e-12)
+                # each maximal constant block averages its inputs
+                starts = [0] + [i for i in range(1, 12) if abs(r[i] - r[i - 1]) > 1e-12]
+                for a, b in zip(starts, starts[1:] + [12]):
+                    np.testing.assert_allclose(r[a], z[a:b].mean(), atol=1e-12)
 
 
 class TestClosedFormProjections:
@@ -111,11 +126,14 @@ class TestClosedFormProjections:
         rng = np.random.default_rng(3)
         for _ in range(50):
             z = rng.standard_normal(8)
-            r = project_monotone_dual(z)
-            assert cone_contains(ConeId.MONOTONE_DUAL, r, tol=1e-10)
-            # Moreau: r = z + pava(-z) and the pair is orthogonal
-            np.testing.assert_allclose(r, z + pava_nonincreasing(-z), atol=1e-15)
-            assert abs(np.dot(r, pava_nonincreasing(-z))) <= 1e-10 * (1 + z @ z)
+            for small in KERNEL_THRESHOLDS:
+                with kernel_threshold(small):
+                    r = project_monotone_dual(z)
+                    primal = pava_nonincreasing(-z)
+                assert cone_contains(ConeId.MONOTONE_DUAL, r, tol=1e-10)
+                # Moreau: r = z + pava(-z) and the pair is orthogonal
+                np.testing.assert_allclose(r, z + primal, atol=1e-15)
+                assert abs(np.dot(r, primal)) <= 1e-10 * (1 + z @ z)
 
     def test_monotone_nonneg_fixtures(self):
         np.testing.assert_allclose(project_monotone_nonneg([-1.0, -2.0]), [0.0, 0.0])
@@ -143,9 +161,12 @@ class TestClosedFormProjections:
         rng = np.random.default_rng(5)
         for _ in range(50):
             z = rng.standard_normal(7)
-            r = project_monotone_nonneg_dual(z)
-            assert cone_contains(ConeId.MONOTONE_NONNEG_DUAL, r, tol=1e-10)
-            np.testing.assert_allclose(r, z + project_monotone_nonneg(-z), atol=1e-15)
+            for small in KERNEL_THRESHOLDS:
+                with kernel_threshold(small):
+                    r = project_monotone_nonneg_dual(z)
+                    primal = project_monotone_nonneg(-z)
+                assert cone_contains(ConeId.MONOTONE_NONNEG_DUAL, r, tol=1e-10)
+                np.testing.assert_allclose(r, z + primal, atol=1e-15)
 
     def test_orthant(self):
         np.testing.assert_array_equal(
@@ -260,18 +281,26 @@ def test_projection_positively_homogeneous(cone, z, alpha):
 @given(z=vectors)
 def test_moreau_pair_monotone(z):
     # pava(z) - project_monotone_dual(-z) = z with orthogonal halves
-    primal = pava_nonincreasing(z)
-    dual_of_neg = project_monotone_dual(-z)
-    np.testing.assert_allclose(primal - dual_of_neg, z, atol=1e-10 * (1 + np.linalg.norm(z)))
-    assert abs(np.dot(primal, dual_of_neg)) <= 1e-10 * (1 + z @ z)
+    for small in KERNEL_THRESHOLDS:
+        with kernel_threshold(small):
+            primal = pava_nonincreasing(z)
+            dual_of_neg = project_monotone_dual(-z)
+        np.testing.assert_allclose(
+            primal - dual_of_neg, z, atol=1e-10 * (1 + np.linalg.norm(z))
+        )
+        assert abs(np.dot(primal, dual_of_neg)) <= 1e-10 * (1 + z @ z)
 
 
 @given(z=vectors)
 def test_moreau_pair_monotone_nonneg(z):
-    primal = project_monotone_nonneg(z)
-    dual_of_neg = project_monotone_nonneg_dual(-z)
-    np.testing.assert_allclose(primal - dual_of_neg, z, atol=1e-10 * (1 + np.linalg.norm(z)))
-    assert abs(np.dot(primal, dual_of_neg)) <= 1e-10 * (1 + z @ z)
+    for small in KERNEL_THRESHOLDS:
+        with kernel_threshold(small):
+            primal = project_monotone_nonneg(z)
+            dual_of_neg = project_monotone_nonneg_dual(-z)
+        np.testing.assert_allclose(
+            primal - dual_of_neg, z, atol=1e-10 * (1 + np.linalg.norm(z))
+        )
+        assert abs(np.dot(primal, dual_of_neg)) <= 1e-10 * (1 + z @ z)
 
 
 @given(z=vectors)

@@ -6,6 +6,7 @@ A change that adds a knob or drops a feature has to edit these lists.
 
 import argparse
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -120,3 +121,30 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_kernel_is_numpy_and_python_only():
+    # One kernel and no hidden fallback: no compiled code reached through
+    # ctypes, cffi or numba, and no scipy. numpy imports ctypes itself, so
+    # a fresh interpreter blocks those modules (an entry of None makes their
+    # import fail), then imports mesoc._pava and runs the kernel on both
+    # sides of its threshold for the numpy rounds.
+    src = str(Path(mesoc.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "for name in ('ctypes', '_ctypes', 'cffi', 'numba', 'scipy'):\n"
+        "    sys.modules[name] = None\n"
+        "import numpy as np\n"
+        "from mesoc import _pava\n"
+        "for n in (_pava._SMALL, 100 * _pava._SMALL):\n"
+        "    assert _pava.pava_nonincreasing_kernel(np.arange(n, dtype=float)).tolist()"
+        " == [(n - 1) / 2] * n\n"
+        "mods = [m for k, m in sys.modules.items() if k.partition('.')[0] == 'mesoc']\n"
+        "print(json.dumps([m.__file__ for m in mods]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    files = json.loads(done.stdout)
+    assert files and all(f.endswith(".py") for f in files)
