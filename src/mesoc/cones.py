@@ -15,7 +15,8 @@ The primal projections reduce to pool-adjacent-violators isotonic
 regression (nonincreasing direction, unweighted); the projection onto
 the monotone nonnegative cone is the componentwise positive part of the
 monotone projection. Dual projections follow from Moreau's decomposition
-z = P_K(z) - P_{K*}(-z), i.e. P_{K*}(z) = z + P_K(-z).
+z = P_K(z) - P_{K*}(-z), i.e. P_{K*}(z) = P_K(-z) - (-z); `moreau_half`
+forms that difference and reports it when it leaves the float range.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ def as_vector(z, name: str = "z", allow_empty: bool = False) -> np.ndarray:
     return arr
 
 
+def moreau_half(primal: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The dual half primal - z of the Moreau pair of finite z.
+
+    Raises OverflowError when a difference of the finite operands is
+    above the largest double, e.g. 1.7e308 - (-1.7e308).
+    """
+    with np.errstate(over="ignore"):
+        half = primal - z
+    if not np.isfinite(half).all():
+        raise OverflowError("a Moreau dual half exceeds the float range")
+    return half
+
+
 def pava_nonincreasing(z) -> np.ndarray:
     """Euclidean projection onto the monotone cone {x_1 >= ... >= x_p}.
 
@@ -77,9 +91,12 @@ def pava_nonincreasing(z) -> np.ndarray:
 
 
 def project_monotone_dual(z) -> np.ndarray:
-    """Projection onto the dual of the monotone cone, via Moreau."""
-    z = as_vector(z)
-    return z + pava_nonincreasing_kernel(-z)
+    """Projection onto the dual of the monotone cone, via Moreau.
+
+    Raises OverflowError when a coordinate is above the largest double.
+    """
+    neg = -as_vector(z)
+    return moreau_half(pava_nonincreasing_kernel(neg), neg)
 
 
 def project_monotone_nonneg(z) -> np.ndarray:
@@ -93,9 +110,12 @@ def project_monotone_nonneg(z) -> np.ndarray:
 
 
 def project_monotone_nonneg_dual(z) -> np.ndarray:
-    """Projection onto the dual of the monotone nonnegative cone, via Moreau."""
-    z = as_vector(z)
-    return z + np.maximum(pava_nonincreasing_kernel(-z), 0.0)
+    """Projection onto the dual of the monotone nonnegative cone, via Moreau.
+
+    Raises OverflowError when a coordinate is above the largest double.
+    """
+    neg = -as_vector(z)
+    return moreau_half(np.maximum(pava_nonincreasing_kernel(neg), 0.0), neg)
 
 
 def project_nonneg_orthant(z) -> np.ndarray:

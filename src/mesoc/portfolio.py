@@ -251,7 +251,7 @@ class MadSolution:
 
 def _cone_feasibility(v: np.ndarray, T: int, uscale: float) -> FeasibilityReport:
     sum_res = abs(float(np.sum(v[T:])) - uscale)
-    cone_res = mesoc_violation(MesocPoint(v[:T], v[T:]))
+    cone_res = mesoc_violation(MesocPoint._computed(v[:T], v[T:]))
     return FeasibilityReport(sum_res, cone_res)
 
 

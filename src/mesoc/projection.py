@@ -26,6 +26,12 @@ calls, so a projection never wakes a BLAS thread pool. Every projection
 is returned as a certificate carrying both halves of the Moreau pair and
 their reconstruction residuals, so callers can audit the result without
 trusting the case analysis.
+
+Input is validated once, where it enters (the three `project_mesoc*`
+functions and the public `MesocPoint` constructor), and the arrays a
+projection computes are not checked again: the one way they can leave
+the float range, an overflowing dual half, raises OverflowError from
+`moreau_half`.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from ._pava import pava_nonincreasing_kernel
-from .cones import ConeId, DimensionError, as_vector, cone_contains
+from .cones import ConeId, DimensionError, as_vector, cone_contains, moreau_half
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,18 @@ class MesocPoint:
     def __post_init__(self):
         object.__setattr__(self, "x", as_vector(self.x, "x"))
         object.__setattr__(self, "u", as_vector(self.u, "u", allow_empty=True))
+
+    @classmethod
+    def _computed(cls, x: np.ndarray, u: np.ndarray) -> "MesocPoint":
+        """A point from arrays computed from validated input.
+
+        They are 1-D, float64 and finite already, so `__post_init__`,
+        which validates outside input, is skipped.
+        """
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "x", x)
+        object.__setattr__(pt, "u", u)
+        return pt
 
     @property
     def p(self) -> int:
@@ -186,7 +204,7 @@ def _project_parts(z: np.ndarray, w: np.ndarray):
     lifted = pava_nonincreasing_kernel(np.append(z, w_norm))
     np.maximum(lifted, 0.0, out=lifted)
     x = lifted[:-1]
-    y = x - z  # Moreau: the dual half is primal - input
+    y = moreau_half(x, z)
     t = float(lifted[-1])  # the part of ||w|| the primal keeps
     if t >= w_norm:
         # includes w = 0 and q = 0; the primal keeps all of w
@@ -202,7 +220,7 @@ def project_mesoc_parts(z, w) -> tuple[MesocPoint, MesocPoint]:
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     x, u, y, v, _, _ = _project_parts(z, w)
-    return MesocPoint(x, u), MesocPoint(y, v)
+    return MesocPoint._computed(x, u), MesocPoint._computed(y, v)
 
 
 def project_mesoc(z, w) -> ProjectionCertificate:
@@ -210,13 +228,13 @@ def project_mesoc(z, w) -> ProjectionCertificate:
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     x, u, y, v, case, lam = _project_parts(z, w)
-    primal = MesocPoint(x, u)
-    dual = MesocPoint(y, v)
+    primal = MesocPoint._computed(x, u)
+    dual = MesocPoint._computed(y, v)
     rx, ru = x - y - z, u - v - w
     additive = math.sqrt(_dot(rx, rx) + _dot(ru, ru))
     ortho = abs(_dot(x, y) + _dot(u, v))
     return ProjectionCertificate(
-        input=MesocPoint(z, w),
+        input=MesocPoint._computed(z, w),
         primal=primal,
         dual_of_neg=dual,
         case=case,
@@ -231,7 +249,7 @@ def project_mesoc_dual(z, w) -> MesocPoint:
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     _, _, y, v, _, _ = _project_parts(-z, -w)
-    return MesocPoint(y, v)
+    return MesocPoint._computed(y, v)
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error: a pooled block mean exceeds the float range")
 
+    @pytest.mark.parametrize(
+        "cone, z",
+        [
+            ("mesoc", [-1.7e308, 1.7e308, 1.7e308]),
+            ("mesoc-dual", [1.7e308, -1.7e308, -1.7e308]),
+            ("monotone-dual", [1.7e308, -1.7e308, -1.7e308]),
+            ("monotone-nonneg-dual", [1.7e308, -1.7e308, -1.7e308]),
+        ],
+        ids=["mesoc", "mesoc-dual", "monotone-dual", "monotone-nonneg-dual"],
+    )
+    def test_moreau_half_overflow_exits_6(self, capsys, cone, z):
+        # finite input whose dual half primal - input is above the float
+        # range: an overflow, not an input that "contains NaN or Inf"
+        code, out, err = run_cli(
+            capsys, ["project", "--cone", cone, "--p", "3", "--q", "0", inline(z)]
+        )
+        assert code == EXIT_OVERFLOW
+        assert out is None
+        assert err.count("\n") == 1
+        assert err.startswith("error: a Moreau dual half exceeds the float range")
+
 
 class TestOracleCompare:
     def test_small_run_is_clean(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from mesoc.cones import (
     ConeId,
     DimensionError,
     cone_contains,
+    project_monotone_dual,
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
 )
@@ -58,6 +60,33 @@ class TestMesocPoint:
     def test_q_zero_allowed(self):
         pt = MesocPoint(np.array([1.0]), np.array([]))
         assert pt.q == 0 and pt.u_norm == 0.0
+
+    @pytest.mark.parametrize("x, u", [([np.nan], [1.0]), ([1.0], [np.inf])])
+    def test_non_finite_rejected(self, x, u):
+        with pytest.raises(ValueError, match="contains NaN or Inf"):
+            MesocPoint(x, u)
+
+    def test_matrix_rejected(self):
+        with pytest.raises(DimensionError):
+            MesocPoint(np.ones((2, 2)), [])
+
+    def test_lists_become_float64_arrays(self):
+        pt = MesocPoint([2, 1], [0.5])
+        for arr in (pt.x, pt.u):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+
+    def test_projected_points_are_mesoc_points(self):
+        cert = project_mesoc([1.0, 2.0], [3.0, 4.0])
+        for pt in (cert.input, cert.primal, cert.dual_of_neg):
+            assert type(pt) is MesocPoint
+            for arr in (pt.x, pt.u):
+                assert isinstance(arr, np.ndarray)
+                assert arr.dtype == np.float64 and arr.ndim == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.primal.x = np.zeros(2)
+        # replace() goes through the public constructor, which validates
+        with pytest.raises(ValueError, match="contains NaN or Inf"):
+            dataclasses.replace(cert.primal, x=[np.nan])
 
 
 class TestMembership:
@@ -292,7 +321,7 @@ class TestUnderflow:
 
 
 class TestOverflow:
-    """A norm above the largest double is reported as such."""
+    """A result above the largest double is reported as an overflow."""
 
     def test_u_norm(self):
         with pytest.raises(OverflowError, match="norm exceeds the float range"):
@@ -301,6 +330,30 @@ class TestOverflow:
     def test_projection(self):
         with pytest.raises(OverflowError, match="norm exceeds the float range"):
             project_mesoc([0.0], [1.5e308, 1.5e308])
+
+    @pytest.mark.parametrize(
+        "project, z",
+        [
+            (lambda z: project_mesoc(z, []), [-1.7e308, 1.7e308, 1.7e308]),
+            (lambda z: project_mesoc_parts(z, []), [-1.7e308, 1.7e308, 1.7e308]),
+            (lambda z: project_mesoc_dual(z, []), [1.7e308, -1.7e308, -1.7e308]),
+            (project_monotone_dual, [1.7e308, -1.7e308, -1.7e308]),
+            (project_monotone_nonneg_dual, [1.7e308, -1.7e308, -1.7e308]),
+        ],
+        ids=[
+            "mesoc",
+            "mesoc_parts",
+            "mesoc_dual",
+            "monotone_dual",
+            "monotone_nonneg_dual",
+        ],
+    )
+    def test_moreau_half(self, project, z):
+        # finite input whose pooled mean 1.7e308 / 3 lies 1.7e308 from the
+        # pooled values, so the dual half primal - input is above the float
+        # range; not an input that "contains NaN or Inf"
+        with pytest.raises(OverflowError, match="a Moreau dual half exceeds the float range"):
+            project(z)
 
 
 class TestMoreau:

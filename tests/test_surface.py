@@ -1,5 +1,6 @@
 """The public surface: exported names, solver settings, the flags of each
-CLI verb, and what importing the package loads.
+CLI verb, what importing the package loads, and the functions the
+benchmark's tracer wraps.
 
 A change that adds a knob or drops a feature has to edit these lists.
 """
@@ -148,3 +149,30 @@ def test_kernel_is_numpy_and_python_only():
     )
     files = json.loads(done.stdout)
     assert files and all(f.endswith(".py") for f in files)
+
+
+def test_benchmark_trace_targets_resolve():
+    # The tracer reports a target it cannot resolve as absent and goes on,
+    # so a renamed function would quietly drop its per-layer metrics. A
+    # fresh interpreter, with perfbench/ first on sys.path as the benchmark
+    # runs it, imports perfbench/tracing.py and resolves every target.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "import tracing\n"
+        "missing = []\n"
+        "for target in tracing.TARGETS:\n"
+        "    try:\n"
+        "        tracing._resolve(target)\n"
+        "    except (ImportError, AttributeError):\n"
+        "        missing.append(target.span)\n"
+        "print(json.dumps([len(tracing.TARGETS), missing]))\n"
+    )
+    src = str(Path(mesoc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    count, missing = json.loads(done.stdout)
+    assert count > 0 and missing == []
