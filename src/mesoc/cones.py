@@ -64,13 +64,16 @@ def moreau_half(primal: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The dual half primal - z of the Moreau pair of finite z.
 
     Raises OverflowError when a difference of the finite operands is
-    above the largest double, e.g. 1.7e308 - (-1.7e308).
+    above the largest double, e.g. 1.7e308 - (-1.7e308). A difference of
+    finite doubles leaves the float range only by overflowing, so numpy's
+    overflow flag, raised within this call whatever the caller's error
+    state, reports it without a second scan of the result.
     """
-    with np.errstate(over="ignore"):
-        half = primal - z
-    if not np.isfinite(half).all():
-        raise OverflowError("a Moreau dual half exceeds the float range")
-    return half
+    try:
+        with np.errstate(over="raise"):
+            return primal - z
+    except FloatingPointError:
+        raise OverflowError("a Moreau dual half exceeds the float range") from None
 
 
 def pava_nonincreasing(z) -> np.ndarray:
@@ -105,8 +108,9 @@ def project_monotone_nonneg(z) -> np.ndarray:
     Equals the positive part of the monotone-cone projection, so a single
     PAVA pass plus a clamp suffices.
     """
-    z = as_vector(z)
-    return np.maximum(pava_nonincreasing_kernel(z), 0.0)
+    fit = pava_nonincreasing_kernel(as_vector(z))
+    # the kernel's output is a fresh array, so it is clamped in place
+    return np.maximum(fit, 0.0, out=fit)
 
 
 def project_monotone_nonneg_dual(z) -> np.ndarray:
@@ -115,7 +119,8 @@ def project_monotone_nonneg_dual(z) -> np.ndarray:
     Raises OverflowError when a coordinate is above the largest double.
     """
     neg = -as_vector(z)
-    return moreau_half(np.maximum(pava_nonincreasing_kernel(neg), 0.0), neg)
+    fit = pava_nonincreasing_kernel(neg)
+    return moreau_half(np.maximum(fit, 0.0, out=fit), neg)
 
 
 def project_nonneg_orthant(z) -> np.ndarray:

@@ -115,6 +115,11 @@ class ProjectionCertificate:
     record how well primal - dual_of_neg reconstructs the input and how
     orthogonal the two halves are. `lam` is populated only in the interior
     case (antiparallel ratio v = -lam * u).
+
+    The additive residual is a rounding check only: the dual half is
+    built as y = x - z and v = u - w, so it reads about 0 whatever the
+    PAVA kernel returned. Outside the interior case u or v is zero, and
+    the q-half terms of both residuals are exactly zero.
     """
 
     input: MesocPoint
@@ -201,7 +206,10 @@ def _norm(a: np.ndarray) -> float:
 def _project_parts(z: np.ndarray, w: np.ndarray):
     """One lifted PAVA pass; returns (x, u, y, v, case, lam)."""
     w_norm = _norm(w)
-    lifted = pava_nonincreasing_kernel(np.append(z, w_norm))
+    lifted = np.empty(z.size + 1)
+    lifted[:-1] = z
+    lifted[-1] = w_norm
+    lifted = pava_nonincreasing_kernel(lifted)
     np.maximum(lifted, 0.0, out=lifted)
     x = lifted[:-1]
     y = moreau_half(x, z)
@@ -228,19 +236,25 @@ def project_mesoc(z, w) -> ProjectionCertificate:
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     x, u, y, v, case, lam = _project_parts(z, w)
-    primal = MesocPoint._computed(x, u)
-    dual = MesocPoint._computed(y, v)
-    rx, ru = x - y - z, u - v - w
-    additive = math.sqrt(_dot(rx, rx) + _dot(ru, ru))
-    ortho = abs(_dot(x, y) + _dot(u, v))
+    rx = x - y
+    rx -= z
+    sumsq = _dot(rx, rx)
+    inner = _dot(x, y)
+    if case is ProjectionCase.INTERIOR:
+        # in the other two cases u or v is zero, so u - v - w and <u, v>
+        # are exactly zero and adding them would change no bit
+        ru = u - v
+        ru -= w
+        sumsq += _dot(ru, ru)
+        inner += _dot(u, v)
     return ProjectionCertificate(
         input=MesocPoint._computed(z, w),
-        primal=primal,
-        dual_of_neg=dual,
+        primal=MesocPoint._computed(x, u),
+        dual_of_neg=MesocPoint._computed(y, v),
         case=case,
         lam=lam,
-        moreau_additive_residual=additive,
-        moreau_orthogonality_residual=ortho,
+        moreau_additive_residual=math.sqrt(sumsq),
+        moreau_orthogonality_residual=abs(inner),
     )
 
 
@@ -286,21 +300,22 @@ def complementarity_check(a: MesocPoint, b: MesocPoint, tol: float = 1e-8) -> Co
         )
     in_primal = mesoc_contains(a, tol)  # raises for a negative tol
     in_dual = mesoc_dual_contains(b, tol)
-    inner = float(np.dot(a.as_vector(), b.as_vector()))
+    uv = _dot(a.u, b.u)
+    inner = _dot(a.x, b.x) + uv
     ok = in_primal and in_dual and abs(inner) <= tol
 
     u_norm, v_norm = a.u_norm, b.u_norm
     if u_norm > 0.0 and v_norm > 0.0:
         xp_eq = abs(float(a.x[-1]) - u_norm) <= tol
         sum_eq = abs(float(np.sum(b.x)) - v_norm) <= tol
-        anti = abs(float(np.dot(a.u, b.u)) + u_norm * v_norm) <= tol
+        anti = abs(uv + u_norm * v_norm) <= tol
         sx = a.x - u_norm
         sy = b.x.copy()
         sy[-1] -= v_norm
         shifted = (
             cone_contains(ConeId.MONOTONE_NONNEG, sx, tol)
             and cone_contains(ConeId.MONOTONE_NONNEG_DUAL, sy, tol)
-            and abs(float(np.dot(sx, sy))) <= tol
+            and abs(_dot(sx, sy)) <= tol
         )
         return ComplementarityReport(
             in_primal, in_dual, inner, ok, xp_eq, sum_eq, anti, shifted

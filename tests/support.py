@@ -2,15 +2,18 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 
+from mesoc._pava import pava_nonincreasing_kernel
 from mesoc.cones import (
     ConeId,
     as_vector,
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
 )
+from mesoc.projection import ProjectionCase, _dot, _norm
 
 
 def brute_isotonic_nonincreasing(z):
@@ -241,3 +244,46 @@ def reference_mesoc_dual_contains(pt, tol=0.0):
     if not np.all(prefixes[:-1] >= -tol):
         return False
     return bool(prefixes[-1] >= pt.u_norm - tol)
+
+
+
+def _reference_moreau_half(primal, z):
+    with np.errstate(over="ignore"):
+        half = primal - z
+    if not np.isfinite(half).all():
+        raise OverflowError("a Moreau dual half exceeds the float range")
+    return half
+
+
+def _reference_project_parts(z, w):
+    w_norm = _norm(w)
+    lifted = pava_nonincreasing_kernel(np.append(z, w_norm))
+    np.maximum(lifted, 0.0, out=lifted)
+    x = lifted[:-1]
+    y = _reference_moreau_half(x, z)
+    t = float(lifted[-1])  # the part of ||w|| the primal keeps
+    if t >= w_norm:
+        # includes w = 0 and q = 0; the primal keeps all of w
+        return x, w.copy(), y, np.zeros_like(w), ProjectionCase.PRIMAL_DOMINATES, None
+    if t == 0.0:
+        return x, np.zeros_like(w), y, -w, ProjectionCase.DUAL_DOMINATES, None
+    u = (t / w_norm) * w
+    return x, u, y, u - w, ProjectionCase.INTERIOR, w_norm / t - 1.0
+
+
+def reference_project_mesoc(z, w):
+    """Frozen assembly of the projection; (x, u, y, v, case, lam, additive, ortho).
+
+    The lifted vector through `np.append`, the dual half checked by a
+    finiteness scan, and both residuals summed over every term in every
+    case. The library builds the same Moreau pair and certificate with
+    fewer temporaries and skips terms that are exactly zero; every output
+    must match this copy bit for bit.
+    """
+    z = as_vector(z, "z")
+    w = as_vector(w, "w", allow_empty=True)
+    x, u, y, v, case, lam = _reference_project_parts(z, w)
+    rx, ru = x - y - z, u - v - w
+    additive = math.sqrt(_dot(rx, rx) + _dot(ru, ru))
+    ortho = abs(_dot(x, y) + _dot(u, v))
+    return x, u, y, v, case, lam, additive, ortho

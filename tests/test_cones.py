@@ -151,6 +151,14 @@ class TestClosedFormProjections:
             np.testing.assert_array_equal(
                 project_monotone_nonneg(z), np.maximum(pava_nonincreasing(z), 0.0)
             )
+        # the clamp in place gives the bits of a clamped copy, past the
+        # kernel's threshold for its numpy rounds
+        z = rng.standard_normal(100_001)
+        clamped = np.maximum(pava_nonincreasing(z), 0.0)
+        assert project_monotone_nonneg(z).tobytes() == clamped.tobytes()
+        neg = -z
+        clamped_neg = np.maximum(pava_nonincreasing(neg), 0.0)
+        assert project_monotone_nonneg_dual(z).tobytes() == (clamped_neg - neg).tobytes()
 
     def test_monotone_nonneg_dual_fixtures(self):
         np.testing.assert_array_equal(project_monotone_nonneg_dual(np.zeros(4)), np.zeros(4))

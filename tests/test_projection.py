@@ -31,6 +31,7 @@ from support import (
     random_mesoc_member,
     reference_mesoc_contains,
     reference_mesoc_dual_contains,
+    reference_project_mesoc,
     soc_project,
     three_case_mesoc_projection,
 )
@@ -297,6 +298,64 @@ class TestThreeCaseReference:
         assert min(seen.values()) >= 100 and q_zero > 0, (seen, q_zero)
 
 
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+def assert_matches_frozen_assembly(z, w):
+    cert = project_mesoc(z, w)
+    x, u, y, v, case, lam, additive, ortho = reference_project_mesoc(z, w)
+    for got, want in (
+        (cert.primal.x, x),
+        (cert.primal.u, u),
+        (cert.dual_of_neg.x, y),
+        (cert.dual_of_neg.u, v),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert cert.case is case
+    assert _hex(cert.lam) == _hex(lam)
+    assert cert.moreau_additive_residual.hex() == additive.hex()
+    assert cert.moreau_orthogonality_residual.hex() == ortho.hex()
+    return cert
+
+
+class TestFrozenAssembly:
+    """Every certificate field, bit for bit, against the frozen assembly."""
+
+    def test_every_case_at_every_scale(self):
+        rng = np.random.default_rng(36)
+        seen = {c: 0 for c in ProjectionCase}
+        q_zero = w_zero = 0
+        for z, w in TestThreeCaseReference.draws(rng):
+            seen[assert_matches_frozen_assembly(z, w).case] += 1
+            q_zero += w.size == 0
+            w_zero += w.size > 0 and not w.any()
+        assert min(seen.values()) >= 100 and q_zero and w_zero, (seen, q_zero, w_zero)
+
+    def test_dual_dominates_keeps_signed_zeros(self):
+        # v = -w: the zeros of w come back with their sign flipped
+        w = np.array([0.0, 0.5, -0.0, 0.0, -0.25])
+        cert = assert_matches_frozen_assembly([-3.0, -1.0, -2.0], w)
+        assert cert.case is ProjectionCase.DUAL_DOMINATES
+        zeros = w == 0.0
+        assert np.array_equal(np.signbit(cert.dual_of_neg.u[zeros]), ~np.signbit(w[zeros]))
+
+    @pytest.mark.parametrize("recipe", ["dual", "primal", "interior", "ascending"])
+    def test_benchmark_case_families(self, recipe):
+        # the recipes of perfbench's case_families at p = q = 100 000
+        rng = np.random.default_rng([1, 2, 100_000])
+        g = rng.standard_normal(100_000)
+        z, w_norm, case = {
+            "dual": (g - 3.0, 1.0, ProjectionCase.DUAL_DOMINATES),
+            "primal": (g + 8.0, 1.0, ProjectionCase.PRIMAL_DOMINATES),
+            "interior": (g + 3.0, 10.0, ProjectionCase.INTERIOR),
+            "ascending": (np.sort(g) + 3.0, 10.0, ProjectionCase.INTERIOR),
+        }[recipe]
+        w = rng.standard_normal(100_000)
+        w *= w_norm / np.sqrt(np.sum(w * w))
+        assert assert_matches_frozen_assembly(z, w).case is case
+
+
 class TestUnderflow:
     """Inputs whose squares underflow still project into both cones."""
 
@@ -354,6 +413,18 @@ class TestOverflow:
         # range; not an input that "contains NaN or Inf"
         with pytest.raises(OverflowError, match="a Moreau dual half exceeds the float range"):
             project(z)
+        # the same under any numpy error state the caller has set, which
+        # the projection leaves as it found it
+        for mode in ("ignore", "warn", "raise"):
+            with np.errstate(all=mode):
+                state = np.geterr()
+                project(np.asarray(z) / 1e308)
+                assert np.geterr() == state
+                with pytest.raises(
+                    OverflowError, match="a Moreau dual half exceeds the float range"
+                ):
+                    project(z)
+                assert np.geterr() == state
 
 
 class TestMoreau:

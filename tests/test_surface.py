@@ -1,6 +1,6 @@
 """The public surface: exported names, solver settings, the flags of each
-CLI verb, what importing the package loads, and the functions the
-benchmark's tracer wraps.
+CLI verb, what importing the package loads, the functions the
+benchmark's tracer wraps, and the BLAS calls the projection path avoids.
 
 A change that adds a knob or drops a feature has to edit these lists.
 """
@@ -12,6 +12,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import mesoc
 from mesoc.cli import build_parser
@@ -176,3 +179,38 @@ def test_benchmark_trace_targets_resolve():
     )
     count, missing = json.loads(done.stdout)
     assert count > 0 and missing == []
+
+
+BLAS_ENTRY_POINTS = [
+    (np, "dot"),
+    (np, "vdot"),
+    (np, "inner"),
+    (np, "matmul"),
+    (np.linalg, "norm"),
+]
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_projection_path_calls_no_blas(monkeypatch, n):
+    # a BLAS call wakes the BLAS thread pool, which costs more than a whole
+    # projection at large n; here every numpy entry point to it raises
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS called on the projection path")
+
+    for module, name in BLAS_ENTRY_POINTS:
+        monkeypatch.setattr(module, name, blas)
+    rng = np.random.default_rng(n)
+    # shifted up, with ||w|| = 10 above the fitted z: the Interior case,
+    # where complementarity_check also tests the four structural conditions
+    z = rng.standard_normal(n) + 3.0
+    w = rng.standard_normal(n)
+    w *= 10.0 / np.sqrt(np.sum(w * w))
+    cert = mesoc.project_mesoc(z, w)
+    assert cert.case is mesoc.ProjectionCase.INTERIOR
+    primal, dual = mesoc.project_mesoc_parts(z, w)
+    mesoc.project_mesoc_dual(z, w)
+    assert mesoc.complementarity_check(primal, dual).uv_antiparallel is not None
+    mesoc.mesoc_violation(primal)
+    mesoc.mesoc_dual_violation(dual)
+    for cone in mesoc.ConeId:
+        mesoc.project_cone(cone, z)
