@@ -265,20 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_vector_flags(sp, tol_default):
+    def add_vector_flags(sp):
         sp.add_argument("--p", type=int, required=True, help="length of the ordered block")
         sp.add_argument("--q", type=int, default=0, help="length of the norm block")
         sp.add_argument("--inline", help="comma-separated input vector")
         sp.add_argument("--file", help="file containing the input vector")
         sp.add_argument("--cone", choices=_CONE_CHOICES, default="mesoc")
-        sp.add_argument("--tol", type=float, default=tol_default)
 
     sp = sub.add_parser("project", help="project a point and emit the certificate")
-    add_vector_flags(sp, 1e-9)
+    add_vector_flags(sp)
     sp.set_defaults(func=cmd_project)
 
     sp = sub.add_parser("check", help="test cone membership of a point")
-    add_vector_flags(sp, 1e-9)
+    add_vector_flags(sp)
+    sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser(

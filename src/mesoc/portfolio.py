@@ -14,14 +14,14 @@ w = u / s. The cone stores y reversed (largest bound first); the model
 pre-permutes the objective coefficients once so no other code needs to
 think about the reversal.
 
-The solver is projected subgradient with diminishing steps and ergodic
-averaging, projecting onto the cone-hyperplane intersection by Dykstra
-alternation between the exact MESOC projection and the hyperplane. Because
-a linear objective over this set collapses analytically (y sits on the
+The solver is projected subgradient with diminishing steps, projecting
+onto the cone-hyperplane intersection by Dykstra alternation between the
+exact MESOC projection and the hyperplane, and it keeps its best iterate.
+A linear objective over this set collapses analytically (y sits on the
 cone boundary, and the remaining problem in w has a closed-form KKT
-solution), a final polish step evaluates that candidate and keeps whichever
-point is best; the subgradient iterates act as a safety net for near-
-degenerate data where the closed form is untrustworthy.
+solution), so the answer is whichever of the best iterate and that
+closed-form point has the lower objective. The closed form exists only
+when the model is bounded below; otherwise the best iterate is returned.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from .projection import MesocPoint, mesoc_violation, project_mesoc_parts
 _PROB_SUM_TOL = 1e-12
 _W0_SUM_TOL = 1e-8
 # subgradient step scale, Dykstra stopping rule for the inner feasibility
-# projection, and the iterate norm past which the loop reports divergence
+# projection, and the cap on refine_jstar's build/solve rounds
 _STEP0 = 1.0
 _INNER_TOL = 1e-9
 _INNER_MAX_CYCLES = 20_000
-_DIVERGENCE_BOUND = 1e8
+_MAX_OUTER = 10
 
 
 class ModelDomainError(ValueError):
@@ -283,8 +283,6 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
 
     best_v = v
     best_obj = float(np.dot(cost, v))
-    avg = np.zeros_like(v)
-    diverged = False
     inner_ok = True
     iterations = 0
     for k in range(1, cfg.max_iter + 1):
@@ -293,13 +291,9 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
         rep = project_feasible(v - step * cost)
         v = rep.point
         inner_ok = inner_ok and rep.converged
-        avg += v
         obj = float(np.dot(cost, v))
         if obj < best_obj:
             best_obj, best_v = obj, v
-        if float(np.linalg.norm(v)) > _DIVERGENCE_BOUND:
-            diverged = True
-            break
 
     # iterates are only feasible to the inner tolerance, which would let a
     # marginally infeasible point undercut an exact one in the comparison
@@ -310,17 +304,10 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
         u_part = vec[T:] + (s - float(np.sum(vec[T:]))) / n
         return np.concatenate([np.full(T, float(np.linalg.norm(u_part))), u_part])
 
-    pool = [best_v]
-    if iterations and not diverged:
-        rep = project_feasible(avg / iterations)
-        inner_ok = inner_ok and rep.converged
-        pool.append(rep.point)
-    candidates = [finished(vec) for vec in pool]
-
-    if not diverged:
-        polished = _kkt_candidate(model)
-        if polished is not None:
-            candidates.append(polished)
+    candidates = [finished(best_v)]
+    polished = _kkt_candidate(model)
+    if polished is not None:
+        candidates.append(polished)
 
     final_obj, final_v = min(
         ((float(np.dot(cost, vec)), vec) for vec in candidates), key=lambda t: t[0]
@@ -338,7 +325,7 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
         mad_objective=mad_obj,
         feasibility=feas,
         iterations=iterations,
-        converged=(not diverged) and inner_ok and feas.max_residual <= cfg.feas_tol,
+        converged=inner_ok and feas.max_residual <= cfg.feas_tol,
         jstar=model.jstar,
         uscale=s,
     )
@@ -351,7 +338,7 @@ def _kkt_candidate(model: MadModel) -> np.ndarray | None:
     c0*s*||w|| - r^T w over sum(w) = 1; the stationarity condition pins
     w parallel to r - nu with ||r - nu|| = c0*s. Returns None when the
     discriminant is nonpositive (the problem is unbounded or on the
-    boundary of boundedness) so the caller falls back to the iterates.
+    boundary of boundedness) so the caller falls back to the best iterate.
     """
     r, s, c0 = model.r, model.uscale, model.c0
     n = r.size
@@ -367,27 +354,20 @@ def _kkt_candidate(model: MadModel) -> np.ndarray | None:
     return np.concatenate([np.full(T, float(np.linalg.norm(u))), u])
 
 
-def refine_jstar(
-    data: ScenarioData,
-    c0: float,
-    w_init=None,
-    max_outer: int = 10,
-    cfg: SolverConfig | None = None,
-) -> MadSolution:
+def refine_jstar(data: ScenarioData, c0: float, cfg: SolverConfig | None = None) -> MadSolution:
     """Iterate build/solve until the reference scenario is self-consistent.
 
     The reference scenario depends on the weights it is meant to produce;
     this closes the loop by fixed-point iteration from the uniform
-    portfolio. Cycling (a previously visited j* reappearing without
-    stabilizing) returns the best-objective iterate, flagged.
+    portfolio, for at most _MAX_OUTER rounds. Cycling (a previously visited
+    j* reappearing without stabilizing) returns the best-objective iterate,
+    flagged.
     """
-    if max_outer < 1:
-        raise ValueError("max_outer must be >= 1")
-    T, n = np.asarray(data.returns).shape
-    w = np.full(n, 1.0 / n) if w_init is None else np.asarray(w_init, dtype=np.float64)
+    n = data.n_assets
+    w = np.full(n, 1.0 / n)
     seen: list[int] = []
     solutions: list[MadSolution] = []
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         model = build_mad_model(data, c0, w)
         seen.append(model.jstar)
         sol = solve_mad(model, cfg)
@@ -400,4 +380,4 @@ def refine_jstar(
             return replace(best, jstar_stable=False, outer_iterations=outer)
         w = sol.w
     best = min(solutions, key=lambda s_: s_.objective)
-    return replace(best, jstar_stable=False, outer_iterations=max_outer)
+    return replace(best, jstar_stable=False, outer_iterations=_MAX_OUTER)

@@ -28,10 +28,10 @@ their reconstruction residuals, so callers can audit the result without
 trusting the case analysis.
 
 Input is validated once, where it enters (the three `project_mesoc*`
-functions and the public `MesocPoint` constructor), and the arrays a
-projection computes are not checked again: the one way they can leave
-the float range, an overflowing dual half, raises OverflowError from
-`moreau_half`.
+functions, the public `MesocPoint` constructor and `from_vector`), and
+the arrays a projection computes are not checked again: the one way they
+can leave the float range, an overflowing dual half, raises
+OverflowError from `moreau_half`.
 """
 
 from __future__ import annotations
@@ -90,12 +90,13 @@ class MesocPoint:
 
     @classmethod
     def from_vector(cls, vec, p: int, q: int) -> "MesocPoint":
+        """Split a concatenated (x, u) of length p + q, validated once here."""
         vec = as_vector(vec, "vec")
         if p < 1 or q < 0:
             raise DimensionError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
         if vec.size != p + q:
             raise DimensionError(f"vector has length {vec.size}, expected p + q = {p + q}")
-        return cls(vec[:p], vec[p:])
+        return cls._computed(vec[:p], vec[p:])
 
 
 class ProjectionCase(Enum):

@@ -7,6 +7,7 @@ A change that adds a knob or drops a feature has to edit these lists.
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -68,10 +69,10 @@ PUBLIC_NAMES = [
     "solve_mad",
 ]
 
-VECTOR_FLAGS = ["--cone", "--file", "--help", "--inline", "--p", "--q", "--tol", "-h"]
+VECTOR_FLAGS = ["--cone", "--file", "--help", "--inline", "--p", "--q", "-h"]
 VERB_FLAGS = {
     "project": VECTOR_FLAGS,
-    "check": VECTOR_FLAGS,
+    "check": sorted([*VECTOR_FLAGS, "--tol"]),
     "oracle-compare": ["--count", "--help", "--p", "--q", "--seed", "--tol", "-h"],
     "solve-portfolio": [
         "--c0", "--file", "--help", "--max-iter", "--probabilities-column", "--tol", "-h",
@@ -110,6 +111,18 @@ def test_solver_settings_unchanged():
     # the two values solve-portfolio sets from --max-iter and --tol
     fields = [f.name for f in dataclasses.fields(mesoc.SolverConfig)]
     assert fields == ["max_iter", "feas_tol"]
+
+
+@pytest.mark.parametrize(
+    "func, params",
+    [
+        (mesoc.refine_jstar, ["data", "c0", "cfg"]),
+        (mesoc.solve_mad, ["model", "cfg"]),
+        (mesoc.build_mad_model, ["data", "c0", "w0"]),
+    ],
+)
+def test_portfolio_parameters_unchanged(func, params):
+    assert list(inspect.signature(func).parameters) == params
 
 
 def test_import_loads_no_scipy():
