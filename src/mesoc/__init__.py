@@ -11,16 +11,13 @@ portfolio solver round out the package.
 from .cones import (
     ConeId,
     DimensionError,
-    abel_sum,
     cone_contains,
     cone_violation,
-    dual_cone_of,
     pava_nonincreasing,
     project_cone,
     project_monotone_dual,
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
-    project_nonneg_orthant,
 )
 from .oracle import (
     DykstraConfig,
@@ -67,16 +64,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ConeId",
     "DimensionError",
-    "abel_sum",
     "cone_contains",
     "cone_violation",
-    "dual_cone_of",
     "pava_nonincreasing",
     "project_cone",
     "project_monotone_dual",
     "project_monotone_nonneg",
     "project_monotone_nonneg_dual",
-    "project_nonneg_orthant",
     "DykstraConfig",
     "DykstraReport",
     "dykstra_project",

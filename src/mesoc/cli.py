@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .cones import DimensionError, cone_violation, project_cone
+from .cones import ConeId, DimensionError, cone_violation, project_cone
 from .oracle import DykstraConfig, dykstra_project, mesoc_pieces
 from .portfolio import ModelDomainError, SolverConfig, read_returns_csv, refine_jstar
 from .projection import (
@@ -39,7 +39,7 @@ EXIT_NONCONVERGENCE = 4
 EXIT_DOMAIN = 5
 EXIT_OVERFLOW = 6
 
-_VECTOR_CONES = ("monotone", "monotone-dual", "monotone-nonneg", "monotone-nonneg-dual")
+_VECTOR_CONES = tuple(cone.value for cone in ConeId)
 _CONE_CHOICES = ("mesoc", "mesoc-dual") + _VECTOR_CONES
 # each --cone value's violation function, taking what _point returns for it
 _VIOLATIONS = {"mesoc": mesoc_violation, "mesoc-dual": mesoc_dual_violation}
@@ -201,6 +201,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    if args.tol < 0:
+        raise ValueError("tol must be nonnegative")
     if args.p > _ORACLE_DIM_CAP or args.q > _ORACLE_DIM_CAP:
         raise DimensionError(
             f"oracle comparison is capped at p, q <= {_ORACLE_DIM_CAP}; "

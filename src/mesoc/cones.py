@@ -1,15 +1,17 @@
 """Projections and membership tests for monotone cones and their duals.
 
-The five cones handled here, all in R^p:
+The four cones handled here, all in R^p:
 
 * monotone cone          {x : x_1 >= x_2 >= ... >= x_p}
 * its dual               {y : sum(y_1..y_j) >= 0 for j < p, sum(y) = 0}
 * monotone nonnegative   {x : x_1 >= ... >= x_p >= 0}
 * its dual               {y : sum(y_1..y_j) >= 0 for j <= p}
-* nonnegative orthant    {x : x_i >= 0 for all i}, its own dual
 
-Each cone's defining inequalities are written once, in `cone_violation`;
-membership within tol means `cone_violation(cone, z) <= tol`.
+Their inequalities, and those of the MESOC pair in `projection`, are
+written once: a chain x_1 >= ... >= x_p >= floor in `_chain_violation`,
+and proper prefix sums >= 0 with sum(y) >= cap in `_prefix_violation`.
+The monotone nonnegative cone and its dual are those rules at 0, the
+MESOC pair at ||u||. Membership within tol means violation <= tol.
 
 The primal projections reduce to pool-adjacent-violators isotonic
 regression (nonincreasing direction, unweighted); the projection onto
@@ -21,6 +23,7 @@ forms that difference and reports it when it leaves the float range.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -39,7 +42,6 @@ class ConeId(str, Enum):
     MONOTONE_DUAL = "monotone-dual"
     MONOTONE_NONNEG = "monotone-nonneg"
     MONOTONE_NONNEG_DUAL = "monotone-nonneg-dual"
-    NONNEG_ORTHANT = "nonneg-orthant"
 
 
 def as_vector(z, name: str = "z", allow_empty: bool = False) -> np.ndarray:
@@ -123,17 +125,11 @@ def project_monotone_nonneg_dual(z) -> np.ndarray:
     return moreau_half(np.maximum(fit, 0.0, out=fit), neg)
 
 
-def project_nonneg_orthant(z) -> np.ndarray:
-    """Componentwise positive part."""
-    return np.maximum(as_vector(z), 0.0)
-
-
 _PROJECTORS = {
     ConeId.MONOTONE: pava_nonincreasing,
     ConeId.MONOTONE_DUAL: project_monotone_dual,
     ConeId.MONOTONE_NONNEG: project_monotone_nonneg,
     ConeId.MONOTONE_NONNEG_DUAL: project_monotone_nonneg_dual,
-    ConeId.NONNEG_ORTHANT: project_nonneg_orthant,
 }
 
 
@@ -149,44 +145,29 @@ def cone_contains(cone: ConeId, z, tol: float = 0.0) -> bool:
     return cone_violation(cone, z) <= tol
 
 
+def _chain_violation(x: np.ndarray, floor: float) -> float:
+    """Largest violation of x_1 >= ... >= x_p >= floor (0 if it holds)."""
+    return float(max(0.0, np.max(np.diff(x), initial=0.0), floor - x[-1]))
+
+
+def _prefix_violation(prefixes: np.ndarray, cap: float) -> float:
+    """Largest violation of proper prefix sums >= 0 and sum >= cap.
+
+    `prefixes` holds the prefix sums of y, so its last entry is sum(y).
+    """
+    return float(max(0.0, -np.min(prefixes[:-1], initial=0.0), cap - prefixes[-1]))
+
+
 def cone_violation(cone: ConeId, z) -> float:
     """Largest violation of the cone's defining inequalities (0 if member)."""
     z = as_vector(z)
     cone = ConeId(cone)
     if cone is ConeId.MONOTONE:
-        return float(max(0.0, np.max(np.diff(z), initial=0.0)))
+        return _chain_violation(z, -math.inf)
     if cone is ConeId.MONOTONE_NONNEG:
-        return float(max(0.0, np.max(np.diff(z), initial=0.0), -z[-1]))
-    if cone is ConeId.NONNEG_ORTHANT:
-        return float(max(0.0, -np.min(z)))
+        return _chain_violation(z, 0.0)
     prefixes = np.cumsum(z)
     if cone is ConeId.MONOTONE_DUAL:
-        return float(max(0.0, -np.min(prefixes[:-1], initial=0.0), abs(prefixes[-1])))
-    return float(max(0.0, -np.min(prefixes)))
-
-
-def abel_sum(x, y) -> float:
-    """Inner product computed through partial summation.
-
-    Rewrites <x, y> as sum_i (x_i - x_{i+1}) * S_i + x_p * S_p with S_i the
-    prefix sums of y. Agrees with the direct dot product to machine
-    precision; kept as an independent identity for tests.
-    """
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.size != y.size:
-        raise DimensionError(f"dimension mismatch: {x.size} vs {y.size}")
-    prefixes = np.cumsum(y)
-    return float(np.dot(-np.diff(x), prefixes[:-1]) + x[-1] * prefixes[-1])
-
-
-def dual_cone_of(cone: ConeId) -> ConeId:
-    """The ConeId whose members are exactly the dual cone of `cone`."""
-    pairs = {
-        ConeId.MONOTONE: ConeId.MONOTONE_DUAL,
-        ConeId.MONOTONE_DUAL: ConeId.MONOTONE,
-        ConeId.MONOTONE_NONNEG: ConeId.MONOTONE_NONNEG_DUAL,
-        ConeId.MONOTONE_NONNEG_DUAL: ConeId.MONOTONE_NONNEG,
-        ConeId.NONNEG_ORTHANT: ConeId.NONNEG_ORTHANT,
-    }
-    return pairs[ConeId(cone)]
+        # sum(y) = 0: the prefix rule at 0, and sum(y) <= 0 as well
+        return max(_prefix_violation(prefixes, 0.0), float(prefixes[-1]))
+    return _prefix_violation(prefixes, 0.0)

@@ -5,8 +5,8 @@ The monotone extended second-order cone (MESOC) in R^{p+q} is
     L(p, q)  = {(x, u) : x_1 >= x_2 >= ... >= x_p >= ||u||},
     L*(p, q) = {(y, v) : sum(y_1..y_j) >= 0 for j < p, sum(y) >= ||v||}.
 
-Their inequalities are written once, in `mesoc_violation` and
-`mesoc_dual_violation`; membership within tol means violation <= tol.
+Their inequalities are the chain and prefix rules of `cones` at
+floor = cap = ||u||; membership within tol means violation <= tol.
 
 Projecting onto L reduces to a single isotonic regression. For a fixed
 t = ||u|| the closest u is (t/||w||) w, so the whole projection is the
@@ -24,8 +24,9 @@ One PAVA pass plus vector arithmetic makes every projection O(p + q).
 Norms and inner products on this path are numpy reductions, not BLAS
 calls, so a projection never wakes a BLAS thread pool. Every projection
 is returned as a certificate carrying both halves of the Moreau pair and
-their reconstruction residuals, so callers can audit the result without
-trusting the case analysis.
+their reconstruction residuals. The residuals are rounding diagnostics:
+the dual half is built from the primal, so a wrong primal can read 0 in
+both. `complementarity_check` tests membership of both halves.
 
 Input is validated once, where it enters (the three `project_mesoc*`
 functions, the public `MesocPoint` constructor and `from_vector`), and
@@ -43,7 +44,15 @@ from enum import Enum
 import numpy as np
 
 from ._pava import pava_nonincreasing_kernel
-from .cones import ConeId, DimensionError, as_vector, cone_contains, moreau_half
+from .cones import (
+    ConeId,
+    DimensionError,
+    _chain_violation,
+    _prefix_violation,
+    as_vector,
+    cone_contains,
+    moreau_half,
+)
 
 
 @dataclass(frozen=True)
@@ -161,16 +170,12 @@ def mesoc_dual_contains(pt: MesocPoint, tol: float = 0.0) -> bool:
 
 def mesoc_violation(pt: MesocPoint) -> float:
     """Largest violation of the cone inequalities (0 for members)."""
-    x = pt.x
-    return float(max(0.0, np.max(np.diff(x), initial=0.0), pt.u_norm - x[-1]))
+    return _chain_violation(pt.x, pt.u_norm)
 
 
 def mesoc_dual_violation(pt: MesocPoint) -> float:
     """Largest violation of the dual cone inequalities (0 for members)."""
-    prefixes = np.cumsum(pt.x)
-    return float(
-        max(0.0, -np.min(prefixes[:-1], initial=0.0), pt.u_norm - prefixes[-1])
-    )
+    return _prefix_violation(np.cumsum(pt.x), pt.u_norm)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,11 +9,38 @@ import numpy as np
 from mesoc._pava import pava_nonincreasing_kernel
 from mesoc.cones import (
     ConeId,
+    DimensionError,
     as_vector,
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
 )
 from mesoc.projection import ProjectionCase, _dot, _norm
+
+
+def abel_sum(x, y) -> float:
+    """Inner product computed through partial summation.
+
+    Rewrites <x, y> as sum_i (x_i - x_{i+1}) * S_i + x_p * S_p with S_i the
+    prefix sums of y. Agrees with the direct dot product to machine
+    precision; an identity independent of the library's own dot products.
+    """
+    x = as_vector(x, "x")
+    y = as_vector(y, "y")
+    if x.size != y.size:
+        raise DimensionError(f"dimension mismatch: {x.size} vs {y.size}")
+    prefixes = np.cumsum(y)
+    return float(np.dot(-np.diff(x), prefixes[:-1]) + x[-1] * prefixes[-1])
+
+
+def dual_cone_of(cone):
+    """The ConeId whose members are exactly the dual cone of `cone`."""
+    pairs = {
+        ConeId.MONOTONE: ConeId.MONOTONE_DUAL,
+        ConeId.MONOTONE_DUAL: ConeId.MONOTONE,
+        ConeId.MONOTONE_NONNEG: ConeId.MONOTONE_NONNEG_DUAL,
+        ConeId.MONOTONE_NONNEG_DUAL: ConeId.MONOTONE_NONNEG,
+    }
+    return pairs[ConeId(cone)]
 
 
 def brute_isotonic_nonincreasing(z):
@@ -217,13 +244,43 @@ def reference_cone_contains(cone, z, tol=0.0):
         return bool(np.all(np.diff(z) <= tol))
     if cone is ConeId.MONOTONE_NONNEG:
         return bool(np.all(np.diff(z) <= tol) and z[-1] >= -tol)
-    if cone is ConeId.NONNEG_ORTHANT:
-        return bool(np.all(z >= -tol))
     prefixes = np.cumsum(z)
     if cone is ConeId.MONOTONE_DUAL:
         return bool(np.all(prefixes[:-1] >= -tol) and abs(prefixes[-1]) <= tol)
     # monotone nonnegative dual: every prefix sum, including the total
     return bool(np.all(prefixes >= -tol))
+
+
+def reference_cone_violation(cone, z):
+    """Frozen copy of `cone_violation` with each cone's inequalities inline.
+
+    The library writes them once, as a chain rule and a prefix rule shared
+    with the MESOC pair; every violation must match this copy bit for bit.
+    """
+    z = as_vector(z)
+    cone = ConeId(cone)
+    if cone is ConeId.MONOTONE:
+        return float(max(0.0, np.max(np.diff(z), initial=0.0)))
+    if cone is ConeId.MONOTONE_NONNEG:
+        return float(max(0.0, np.max(np.diff(z), initial=0.0), -z[-1]))
+    prefixes = np.cumsum(z)
+    if cone is ConeId.MONOTONE_DUAL:
+        return float(max(0.0, -np.min(prefixes[:-1], initial=0.0), abs(prefixes[-1])))
+    return float(max(0.0, -np.min(prefixes)))
+
+
+def reference_mesoc_violation(pt):
+    """Frozen inline violation of x nonincreasing and x_p >= ||u||."""
+    x = pt.x
+    return float(max(0.0, np.max(np.diff(x), initial=0.0), pt.u_norm - x[-1]))
+
+
+def reference_mesoc_dual_violation(pt):
+    """Frozen inline violation of proper prefix sums >= 0 and sum(y) >= ||v||."""
+    prefixes = np.cumsum(pt.x)
+    return float(
+        max(0.0, -np.min(prefixes[:-1], initial=0.0), pt.u_norm - prefixes[-1])
+    )
 
 
 def reference_mesoc_contains(pt, tol=0.0):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mesoc.cones import abel_sum, pava_nonincreasing, project_monotone_nonneg
+from mesoc.cones import pava_nonincreasing, project_monotone_nonneg
 from mesoc.oracle import (
     DykstraConfig,
     dykstra_project,
@@ -26,6 +26,7 @@ from mesoc.projection import (
     project_mesoc,
 )
 from support import (
+    abel_sum,
     brute_isotonic_nonincreasing,
     feasible_portfolio_point,
     random_weights,

@@ -342,6 +342,7 @@ class TestExitCodes:
             (["--count", "-1"], EXIT_DIMENSION),
             (["--p", "9"], EXIT_DIMENSION),
             (["--seed", "-1"], EXIT_PARSE),
+            (["--tol", "-1"], EXIT_PARSE),
         ],
     )
     def test_oracle_compare(self, capsys, flags, code):

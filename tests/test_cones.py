@@ -9,19 +9,21 @@ from mesoc import _pava
 from mesoc.cones import (
     ConeId,
     DimensionError,
-    abel_sum,
     as_vector,
     cone_contains,
     cone_violation,
-    dual_cone_of,
     pava_nonincreasing,
     project_cone,
     project_monotone_dual,
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
-    project_nonneg_orthant,
 )
-from support import brute_isotonic_nonincreasing, reference_cone_contains
+from support import (
+    abel_sum,
+    brute_isotonic_nonincreasing,
+    dual_cone_of,
+    reference_cone_contains,
+)
 
 vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64),
@@ -176,11 +178,6 @@ class TestClosedFormProjections:
                 assert cone_contains(ConeId.MONOTONE_NONNEG_DUAL, r, tol=1e-10)
                 np.testing.assert_allclose(r, z + primal, atol=1e-15)
 
-    def test_orthant(self):
-        np.testing.assert_array_equal(
-            project_nonneg_orthant([-1.0, 2.0, 0.0]), [0.0, 2.0, 0.0]
-        )
-
     def test_dispatch_matches_direct_calls(self):
         z = np.random.default_rng(6).standard_normal(6)
         np.testing.assert_array_equal(project_cone(ConeId.MONOTONE, z), pava_nonincreasing(z))
@@ -227,7 +224,7 @@ class TestMembership:
             assert cone_contains(cone, project_cone(cone, z), tol=1e-10)
 
     def test_dual_cone_mapping_is_involutive(self):
-        for cone in (ConeId.MONOTONE, ConeId.MONOTONE_NONNEG, ConeId.NONNEG_ORTHANT):
+        for cone in (ConeId.MONOTONE, ConeId.MONOTONE_NONNEG):
             assert dual_cone_of(dual_cone_of(cone)) is cone
 
     def test_dual_pairing_nonnegative(self):

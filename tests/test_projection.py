@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,13 @@ from mesoc.cones import (
     ConeId,
     DimensionError,
     cone_contains,
+    cone_violation,
+    project_cone,
     project_monotone_dual,
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
 )
+from mesoc._pava import pava_nonincreasing_kernel
 from mesoc.projection import (
     MesocPoint,
     ProjectionCase,
@@ -29,8 +34,11 @@ from mesoc.projection import (
 from support import (
     random_mesoc_dual_member,
     random_mesoc_member,
+    reference_cone_violation,
     reference_mesoc_contains,
     reference_mesoc_dual_contains,
+    reference_mesoc_dual_violation,
+    reference_mesoc_violation,
     reference_project_mesoc,
     soc_project,
     three_case_mesoc_projection,
@@ -356,6 +364,69 @@ class TestFrozenAssembly:
         assert assert_matches_frozen_assembly(z, w).case is case
 
 
+def _violation_bits(violation, *args):
+    """The violation's hex, or the name of the overflow its norm raises."""
+    try:
+        return violation(*args).hex()
+    except OverflowError as exc:
+        return type(exc).__name__
+
+
+# a difference or prefix sum past 1.7e308 reads inf, in both copies
+@np.errstate(over="ignore")
+def assert_violations_match_frozen(vec, p):
+    """Every cone's violation of vec, and the MESOC pair's of (vec[:p], vec[p:])."""
+    for cone in ConeId:
+        assert _violation_bits(cone_violation, cone, vec) == _violation_bits(
+            reference_cone_violation, cone, vec
+        ), (cone, vec)
+    pt = MesocPoint(vec[:p], vec[p:])
+    for violation, reference in (
+        (mesoc_violation, reference_mesoc_violation),
+        (mesoc_dual_violation, reference_mesoc_dual_violation),
+    ):
+        assert _violation_bits(violation, pt) == _violation_bits(reference, pt), (vec, p)
+
+
+class TestFrozenViolations:
+    """Each violation, written once as a chain or a prefix rule, bit for bit
+    against the frozen copies that wrote every cone's inequalities inline."""
+
+    SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, 1.7e308)
+
+    def test_special_value_tuples(self):
+        # every split of every 1-3 tuple, the last with q = 0
+        count = 0
+        for n in (1, 2, 3):
+            for values in itertools.product(self.SPECIAL, repeat=n):
+                vec = np.array(values)
+                for p in range(1, n + 1):
+                    assert_violations_match_frozen(vec, p)
+                    count += 1
+        assert count == 9 + 2 * 81 + 3 * 729
+
+    def test_random_draws_at_every_scale(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20_000):
+            p, q = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+            vec = 10.0 ** rng.uniform(-300, 300) * rng.standard_normal(p + q)
+            assert_violations_match_frozen(vec, p)
+
+    def test_projections_on_the_boundary(self):
+        # projected points sit on the boundary, where a violation is 0 or a
+        # rounding, and signed zeros appear
+        rng = np.random.default_rng(42)
+        for _ in range(1_000):
+            p, q = int(rng.integers(1, 7)), int(rng.integers(0, 7))
+            z = 10.0 ** rng.uniform(-300, 300) * rng.standard_normal(p)
+            w = 10.0 ** rng.uniform(-300, 300) * rng.standard_normal(q)
+            cert = project_mesoc(z, w)
+            for half in (cert.primal, cert.dual_of_neg):
+                assert_violations_match_frozen(half.as_vector(), p)
+            for cone in ConeId:
+                assert_violations_match_frozen(project_cone(cone, z), p)
+
+
 class TestUnderflow:
     """Inputs whose squares underflow still project into both cones."""
 
@@ -600,6 +671,30 @@ class TestComplementarity:
         a = MesocPoint(np.array([1.0, 2.0]), np.array([0.0]))  # ordering violated
         b = MesocPoint(np.zeros(2), np.zeros(1))
         assert not complementarity_check(a, b).ok
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda lifted: lifted.copy(),
+            # every merge but the last one, which pools ||w|| into the fit
+            lambda lifted: np.append(pava_nonincreasing_kernel(lifted[:-1]), lifted[-1]),
+        ],
+        ids=["identity", "skips-last-merge"],
+    )
+    def test_wrong_kernel_fails_membership(self, kernel):
+        # the lifted vector (z, ||w||) rises, so the right kernel pools it;
+        # the Moreau residuals stay near 0 for a wrong primal, and only the
+        # memberships that complementarity_check tests catch it
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            p, q = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+            z = np.sort(rng.standard_normal(p))
+            w = rng.standard_normal(q)
+            w *= (z[-1] + 1.0 + rng.uniform()) / math.sqrt(float(w @ w))
+            with mock.patch("mesoc.projection.pava_nonincreasing_kernel", kernel):
+                cert = project_mesoc(z, w)
+            assert not complementarity_check(cert.primal, cert.dual_of_neg).ok
+            assert mesoc_violation(cert.primal) > 0
 
 
 class TestValidation:
