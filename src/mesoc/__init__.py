@@ -20,7 +20,6 @@ from .cones import (
     project_monotone_nonneg_dual,
 )
 from .oracle import (
-    DykstraConfig,
     DykstraReport,
     dykstra_project,
     mesoc_dual_pieces,
@@ -37,7 +36,6 @@ from .portfolio import (
     MadSolution,
     ModelDomainError,
     ScenarioData,
-    SolverConfig,
     build_mad_model,
     load_scenarios,
     read_returns_csv,
@@ -71,7 +69,6 @@ __all__ = [
     "project_monotone_dual",
     "project_monotone_nonneg",
     "project_monotone_nonneg_dual",
-    "DykstraConfig",
     "DykstraReport",
     "dykstra_project",
     "mesoc_dual_pieces",
@@ -86,7 +83,6 @@ __all__ = [
     "MadSolution",
     "ModelDomainError",
     "ScenarioData",
-    "SolverConfig",
     "build_mad_model",
     "load_scenarios",
     "read_returns_csv",

@@ -5,9 +5,12 @@ the concatenated point (x then u). All verbs emit JSON on stdout; floats are
 written with 17 significant digits so output round-trips doubles losslessly.
 
 Exit codes: 0 success, 1 property violation (membership or deviation check
-failed), 2 parse error, 3 dimension mismatch, 4 non-convergence, 5 input
-outside the model's domain (c0 <= 0, a degenerate reference scenario), 6 a
-result outside the float range (a norm above the largest finite double).
+failed), 2 parse error, 3 dimension mismatch, 4 non-convergence (a Dykstra
+run that hit its cycle cap, or a portfolio solve whose residuals exceed the
+fixed feasibility tolerance 1e-7), 5 input outside the model's domain (c0
+not in (0, inf), a degenerate reference scenario), 6 a result outside the
+float range (a norm, a pooled block mean, a Moreau dual half or a cone
+violation above the largest finite double).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .cones import ConeId, DimensionError, cone_violation, project_cone
-from .oracle import DykstraConfig, dykstra_project, mesoc_pieces
-from .portfolio import ModelDomainError, SolverConfig, read_returns_csv, refine_jstar
+from .oracle import dykstra_project, mesoc_pieces
+from .portfolio import ModelDomainError, read_returns_csv, refine_jstar
 from .projection import (
     MesocPoint,
     mesoc_dual_violation,
@@ -212,7 +215,6 @@ def cmd_oracle_compare(args) -> int:
         raise DimensionError("need count >= 0")
     pieces = mesoc_pieces(args.p, args.q)
     rng = np.random.default_rng(args.seed)
-    cfg = DykstraConfig()
     rows = []
     all_converged = True
     max_dev = 0.0
@@ -220,7 +222,7 @@ def cmd_oracle_compare(args) -> int:
         z = rng.standard_normal(args.p)
         w = rng.standard_normal(args.q)
         exact = project_mesoc(z, w).primal.as_vector()
-        rep = dykstra_project(pieces, np.concatenate([z, w]), cfg)
+        rep = dykstra_project(pieces, np.concatenate([z, w]))
         dev = float(np.max(np.abs(exact - rep.point))) if exact.size else 0.0
         max_dev = max(max_dev, dev)
         all_converged = all_converged and rep.converged
@@ -254,8 +256,7 @@ def cmd_solve_portfolio(args) -> int:
     if args.file is None:
         raise CliError(EXIT_PARSE, "--file with scenario returns is required")
     data = read_returns_csv(args.file, args.probabilities_column)
-    cfg = SolverConfig(max_iter=args.max_iter, feas_tol=args.tol)
-    sol = refine_jstar(data, args.c0, cfg=cfg)
+    sol = refine_jstar(data, args.c0)
     _emit(sol.to_dict())
     return EXIT_OK if sol.converged else EXIT_NONCONVERGENCE
 
@@ -296,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve-portfolio", help="solve the conic MAD model from a returns CSV")
     sp.add_argument("--file", help="CSV of scenario returns, one row per scenario")
     sp.add_argument("--c0", type=float, default=1.0, help="risk-aversion weight")
-    sp.add_argument("--max-iter", type=int, default=200)
-    sp.add_argument("--tol", type=float, default=1e-7, help="feasibility tolerance")
     sp.add_argument(
         "--probabilities-column",
         type=int,

@@ -145,9 +145,16 @@ def cone_contains(cone: ConeId, z, tol: float = 0.0) -> bool:
     return cone_violation(cone, z) <= tol
 
 
+def _finite(violation: float) -> float:
+    """The violation, or OverflowError: finite operands give inf only by overflow."""
+    if not math.isfinite(violation):
+        raise OverflowError("a cone violation exceeds the float range")
+    return violation
+
+
 def _chain_violation(x: np.ndarray, floor: float) -> float:
     """Largest violation of x_1 >= ... >= x_p >= floor (0 if it holds)."""
-    return float(max(0.0, np.max(np.diff(x), initial=0.0), floor - x[-1]))
+    return _finite(float(max(0.0, np.max(np.diff(x), initial=0.0), floor - x[-1])))
 
 
 def _prefix_violation(prefixes: np.ndarray, cap: float) -> float:
@@ -155,11 +162,14 @@ def _prefix_violation(prefixes: np.ndarray, cap: float) -> float:
 
     `prefixes` holds the prefix sums of y, so its last entry is sum(y).
     """
-    return float(max(0.0, -np.min(prefixes[:-1], initial=0.0), cap - prefixes[-1]))
+    return _finite(float(max(0.0, -np.min(prefixes[:-1], initial=0.0), cap - prefixes[-1])))
 
 
 def cone_violation(cone: ConeId, z) -> float:
-    """Largest violation of the cone's defining inequalities (0 if member)."""
+    """Largest violation of the cone's defining inequalities (0 if member).
+
+    Raises OverflowError when it is above the largest double.
+    """
     z = as_vector(z)
     cone = ConeId(cone)
     if cone is ConeId.MONOTONE:
@@ -169,5 +179,5 @@ def cone_violation(cone: ConeId, z) -> float:
     prefixes = np.cumsum(z)
     if cone is ConeId.MONOTONE_DUAL:
         # sum(y) = 0: the prefix rule at 0, and sum(y) <= 0 as well
-        return max(_prefix_violation(prefixes, 0.0), float(prefixes[-1]))
+        return _finite(max(_prefix_violation(prefixes, 0.0), float(prefixes[-1])))
     return _prefix_violation(prefixes, 0.0)

@@ -7,6 +7,10 @@ projection onto the intersection, which makes it a slow but independent
 referee for the closed-form projections. It is also the engine behind
 projecting onto MESOC-intersect-hyperplane in the portfolio solver.
 
+`dykstra_project` stops at a correction increment below _TOL and reports
+a run that reaches _MAX_CYCLES as unconverged; `dykstra_callables` takes
+both from its caller, as the portfolio uses looser ones (1e-9, 20 000).
+
 Intended for small dimensions (p, q up to ~8); the closed forms are the
 production path.
 """
@@ -19,6 +23,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .cones import DimensionError, as_vector
+
+_TOL = 1e-10
+_MAX_CYCLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -84,18 +91,6 @@ class NonnegOrthant:
 
 
 ConvexPiece = Union[Halfspace, Hyperplane, LorentzBlock, NonnegOrthant]
-
-
-@dataclass(frozen=True)
-class DykstraConfig:
-    tol: float = 1e-10
-    max_cycles: int = 200_000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -178,16 +173,13 @@ def dykstra_callables(
     return DykstraReport(x, max_cycles, float(np.sqrt(increment)), False)
 
 
-def dykstra_project(
-    pieces: Sequence[ConvexPiece], z, cfg: DykstraConfig | None = None
-) -> DykstraReport:
+def dykstra_project(pieces: Sequence[ConvexPiece], z) -> DykstraReport:
     """Project z onto the intersection of the pieces."""
     if not pieces:
         raise ValueError("need at least one piece")
     z = as_vector(z)
-    cfg = cfg or DykstraConfig()
     projectors = [lambda v, p=p: project_piece(p, v) for p in pieces]
-    return dykstra_callables(projectors, z, cfg.tol, cfg.max_cycles)
+    return dykstra_callables(projectors, z, _TOL, _MAX_CYCLES)
 
 
 def piece_violation(piece: ConvexPiece, z) -> float:

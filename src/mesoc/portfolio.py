@@ -27,6 +27,7 @@ when the model is bounded below; otherwise the best iterate is returned.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,16 +38,19 @@ from .projection import MesocPoint, mesoc_violation, project_mesoc_parts
 
 _PROB_SUM_TOL = 1e-12
 _W0_SUM_TOL = 1e-8
-# subgradient step scale, Dykstra stopping rule for the inner feasibility
-# projection, and the cap on refine_jstar's build/solve rounds
+# subgradient step scale and step count, Dykstra stopping rule for the
+# inner feasibility projection, the residual below which a solve counts as
+# converged, and the cap on refine_jstar's build/solve rounds
 _STEP0 = 1.0
+_MAX_ITER = 200
 _INNER_TOL = 1e-9
 _INNER_MAX_CYCLES = 20_000
+_FEAS_TOL = 1e-7
 _MAX_OUTER = 10
 
 
 class ModelDomainError(ValueError):
-    """Well-formed data outside the model's domain (c0 <= 0, degenerate j*)."""
+    """Well-formed data outside the model's domain (c0 outside (0, inf), degenerate j*)."""
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,8 @@ def build_mad_model(data: ScenarioData, c0: float, w0=None) -> MadModel:
     j* is the scenario whose deviation is least exposed to w0 (ties broken
     toward the smallest index); its deviation norm sets the cone scale.
     """
-    if c0 <= 0:
-        raise ModelDomainError(f"risk aversion must be positive, got {c0}")
+    if not 0 < c0 < math.inf:
+        raise ModelDomainError(f"risk aversion must be positive and finite, got {c0}")
     T, n = data.returns.shape
     if w0 is None:
         w0 = np.full(n, 1.0 / n)
@@ -190,12 +194,6 @@ def build_mad_model(data: ScenarioData, c0: float, w0=None) -> MadModel:
         probabilities=f,
         cone_costs=c0 * f[::-1].copy(),
     )
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iter: int = 200
-    feas_tol: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -255,9 +253,8 @@ def _cone_feasibility(v: np.ndarray, T: int, uscale: float) -> FeasibilityReport
     return FeasibilityReport(sum_res, cone_res)
 
 
-def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
+def solve_mad(model: MadModel) -> MadSolution:
     """Minimize the conic MAD objective over the MESOC section."""
-    cfg = cfg or SolverConfig()
     T, n = model.n_scenarios, model.n_assets
     s = model.uscale
     cost = np.concatenate([model.cone_costs, -model.r / s])
@@ -285,7 +282,7 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
     best_obj = float(np.dot(cost, v))
     inner_ok = True
     iterations = 0
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         iterations = k
         step = _STEP0 / (cost_norm * np.sqrt(k)) if cost_norm > 0 else 0.0
         rep = project_feasible(v - step * cost)
@@ -325,7 +322,7 @@ def solve_mad(model: MadModel, cfg: SolverConfig | None = None) -> MadSolution:
         mad_objective=mad_obj,
         feasibility=feas,
         iterations=iterations,
-        converged=inner_ok and feas.max_residual <= cfg.feas_tol,
+        converged=inner_ok and feas.max_residual <= _FEAS_TOL,
         jstar=model.jstar,
         uscale=s,
     )
@@ -354,7 +351,7 @@ def _kkt_candidate(model: MadModel) -> np.ndarray | None:
     return np.concatenate([np.full(T, float(np.linalg.norm(u))), u])
 
 
-def refine_jstar(data: ScenarioData, c0: float, cfg: SolverConfig | None = None) -> MadSolution:
+def refine_jstar(data: ScenarioData, c0: float) -> MadSolution:
     """Iterate build/solve until the reference scenario is self-consistent.
 
     The reference scenario depends on the weights it is meant to produce;
@@ -370,7 +367,7 @@ def refine_jstar(data: ScenarioData, c0: float, cfg: SolverConfig | None = None)
     for outer in range(1, _MAX_OUTER + 1):
         model = build_mad_model(data, c0, w)
         seen.append(model.jstar)
-        sol = solve_mad(model, cfg)
+        sol = solve_mad(model)
         solutions.append(sol)
         next_jstar = int(np.argmin(np.abs(model.U @ sol.w)))
         if next_jstar == model.jstar:

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from mesoc.cones import pava_nonincreasing, project_monotone_nonneg
-from mesoc.oracle import (
-    DykstraConfig,
-    dykstra_project,
-    mesoc_pieces,
-    monotone_nonneg_pieces,
-)
+from mesoc.oracle import dykstra_project, mesoc_pieces, monotone_nonneg_pieces
 from mesoc.portfolio import load_scenarios, refine_jstar
 from mesoc.projection import (
     ProjectionCase,
@@ -79,7 +74,6 @@ def test_moreau_decomposition_suite(moreau_suite):
 
 def test_closed_form_matches_alternating_projections():
     rng = np.random.default_rng(202)
-    cfg = DykstraConfig(tol=1e-10, max_cycles=200_000)
     max_dev = 0.0
     all_converged = True
     t0 = time.perf_counter()
@@ -89,7 +83,7 @@ def test_closed_form_matches_alternating_projections():
         z = rng.standard_normal(p)
         w = rng.standard_normal(q)
         exact = project_mesoc(z, w).primal.as_vector()
-        rep = dykstra_project(mesoc_pieces(p, q), np.concatenate([z, w]), cfg)
+        rep = dykstra_project(mesoc_pieces(p, q), np.concatenate([z, w]))
         max_dev = max(max_dev, float(np.max(np.abs(exact - rep.point))))
         all_converged = all_converged and rep.converged
     elapsed = time.perf_counter() - t0
@@ -119,7 +113,6 @@ def test_lorentz_specialization():
 
 def test_isotonic_regression_against_brute_force():
     rng = np.random.default_rng(404)
-    cfg = DykstraConfig()
     max_brute = 0.0
     max_pos = 0.0
     max_dyk = 0.0
@@ -131,7 +124,7 @@ def test_isotonic_regression_against_brute_force():
         max_brute = max(max_brute, float(np.max(np.abs(iso - brute))))
         pos = project_monotone_nonneg(z)
         max_pos = max(max_pos, float(np.max(np.abs(pos - np.maximum(iso, 0.0)))))
-        rep = dykstra_project(monotone_nonneg_pieces(p), z, cfg)
+        rep = dykstra_project(monotone_nonneg_pieces(p), z)
         max_dyk = max(max_dyk, float(np.max(np.abs(pos - rep.point))))
     ok = max_brute <= 1e-12 and max_pos <= 1e-12 and max_dyk <= 1e-6
     _report(

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mesoc import portfolio
 from mesoc.cli import (
     EXIT_DIMENSION,
     EXIT_DOMAIN,
@@ -397,6 +398,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error: a Moreau dual half exceeds the float range")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cone", "monotone", "--p", "2", "--inline=-1e308,1.7e308"],
+            ["--cone", "mesoc", "--p", "1", "--q", "1", "--inline=-1.7e308,1e308"],
+        ],
+        ids=["monotone", "mesoc"],
+    )
+    def test_violation_overflow_exits_6(self, capsys, flags):
+        # x_2 - x_1 and ||u|| - x_1 are about 2.7e308: the violation of a
+        # finite point overflows, which is neither a parse error nor a JSON
+        # value; numpy warns first, and pytest would make that an error
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, ["check", *flags])
+        assert code == EXIT_OVERFLOW
+        assert out is None
+        assert err.count("\n") == 1
+        assert err.startswith("error: a cone violation exceeds the float range")
+
 
 class TestOracleCompare:
     def test_small_run_is_clean(self, capsys):
@@ -458,6 +478,21 @@ class TestSolvePortfolio:
         assert out["residuals"]["sum_u"] <= 1e-7
         assert out["residuals"]["cone"] <= 1e-7
 
+    def test_default_output_frozen(self, capsys, tmp_path):
+        # the bytes written when every solver setting had a default
+        code = main(["solve-portfolio", "--file", self.write_csv(tmp_path)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{\n  "w": [\n    0.5,\n    0.5\n  ],\n'
+            '  "y": [\n    0.25,\n    0.25,\n    0.25\n  ],\n'
+            '  "objective": 2.5366340893923816e-18,\n'
+            '  "mad_objective": -0.16666666666666669,\n'
+            '  "residuals": {\n    "sum_u": 0,\n    "cone": 0\n  },\n'
+            '  "iterations": 200,\n  "converged": true,\n  "jstar": 0,\n'
+            '  "uscale": 0.35355339059327379,\n  "jstar_stable": true,\n'
+            '  "outer_iterations": 1\n}\n'
+        )
+
     def test_probabilities_column(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
@@ -492,6 +527,8 @@ class TestSolvePortfolio:
         [
             ("0.5,0.0\n0.0,0.25\n0.25,0.5\n", "0"),
             ("0.5,0.0\n0.0,0.25\n0.25,0.5\n", "-1"),
+            ("0.5,0.0\n0.0,0.25\n0.25,0.5\n", "nan"),
+            ("0.5,0.0\n0.0,0.25\n0.25,0.5\n", "inf"),
             ("0.1,0.2\n0.1,0.2\n", "1"),  # every scenario equal: j* has no deviation
         ],
     )
@@ -505,13 +542,12 @@ class TestSolvePortfolio:
         assert out is None
         assert "error:" in err
 
-    def test_impossible_tolerance_exits_4(self, capsys, tmp_path):
+    def test_impossible_tolerance_exits_4(self, capsys, tmp_path, monkeypatch):
         # non-dyadic returns leave a rounding residual ~1e-16 that can never
-        # meet the requested tolerance, so the solver must report failure
+        # meet this tolerance, so the solver must report failure
+        monkeypatch.setattr(portfolio, "_FEAS_TOL", 1e-30)
         path = tmp_path / "r.csv"
         path.write_text("0.3,0.1\n0.0,0.4\n0.2,0.7\n")
-        code, out, _ = run_cli(
-            capsys, ["solve-portfolio", "--file", str(path), "--tol", "1e-30"]
-        )
+        code, out, _ = run_cli(capsys, ["solve-portfolio", "--file", str(path)])
         assert code == EXIT_NONCONVERGENCE
         assert out["converged"] is False

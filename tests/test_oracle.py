@@ -3,11 +3,11 @@ import pytest
 
 from mesoc.cones import ConeId, DimensionError, cone_violation, project_cone
 from mesoc.oracle import (
-    DykstraConfig,
     Halfspace,
     Hyperplane,
     LorentzBlock,
     NonnegOrthant,
+    dykstra_callables,
     dykstra_project,
     mesoc_dual_pieces,
     mesoc_pieces,
@@ -109,17 +109,26 @@ class TestDykstraEngine:
         with pytest.raises(ValueError):
             dykstra_project([], [1.0])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DykstraConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            DykstraConfig(max_cycles=0)
-
     def test_max_cycles_reported_not_silent(self):
-        pieces = monotone_dual_pieces(4)
-        rep = dykstra_project(pieces, np.arange(4.0), DykstraConfig(tol=1e-14, max_cycles=1))
+        projectors = [lambda v, p=p: project_piece(p, v) for p in monotone_dual_pieces(4)]
+        rep = dykstra_callables(projectors, np.arange(4.0), tol=1e-14, max_cycles=1)
         assert not rep.converged
         assert rep.cycles == 1
+
+    def test_default_settings_frozen(self):
+        # the point, cycle count and increment of the referee's fixed
+        # stopping rule, frozen when it was a settable default
+        z = np.array([0.3, -1.7, 2.2, 0.9, -0.4])
+        rep = dykstra_project(mesoc_pieces(3, 2), z)
+        assert [float(v).hex() for v in rep.point] == [
+            "0x1.c8ee464454fd4p-2",
+            "0x1.c8ee4644f7854p-2",
+            "0x1.c8ee464548c8ep-2",
+            "0x1.a18c716383d5ap-2",
+            "-0x1.7327813c03689p-3",
+        ]
+        assert rep.cycles == 34 and rep.converged
+        assert rep.final_increment.hex() == "0x1.58c7a2048a917p-34"
 
     def test_fixed_point_reconverges_fast(self):
         rng = np.random.default_rng(41)

@@ -4,7 +4,6 @@ import pytest
 from mesoc import portfolio
 from mesoc.cones import DimensionError
 from mesoc.portfolio import (
-    SolverConfig,
     build_mad_model,
     load_scenarios,
     read_returns_csv,
@@ -148,6 +147,12 @@ class TestBuildMadModel:
         with pytest.raises(ValueError):
             build_mad_model(load_scenarios(R22), c0=0.0)
 
+    @pytest.mark.parametrize("c0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_c0_rejected(self, c0):
+        # c0 <= 0 alone lets NaN and +inf through to a failure deep in the solve
+        with pytest.raises(portfolio.ModelDomainError, match="positive and finite"):
+            build_mad_model(load_scenarios(R22), c0=c0)
+
     def test_w0_must_sum_to_one(self):
         with pytest.raises(ValueError):
             build_mad_model(load_scenarios(R22), c0=1.0, w0=[2.0, 0.5])
@@ -240,15 +245,15 @@ class TestSolveMad:
         expected = model.c0 * float(f @ np.abs(U @ sol.w)) - float(r @ sol.w)
         assert sol.mad_objective == pytest.approx(expected, abs=1e-12)
 
-    def test_returns_in_large_units(self):
+    def test_returns_in_large_units(self, monkeypatch):
         # Scaling R by a power of two scales r, U and s exactly, so the
         # closed-form w is unchanged and the objective scales with R. The
         # feasible start has norm s * sqrt((T + 1) / n), about 1.9e8 here:
         # the answer must not depend on the units the returns are given in.
         R = np.random.default_rng(7).normal(0.01, 0.05, (5, 3))
-        cfg = SolverConfig(max_iter=5)
-        unit = solve_mad(build_mad_model(load_scenarios(R), 3.0), cfg)
-        large = solve_mad(build_mad_model(load_scenarios(R * 2.0**33), 3.0), cfg)
+        monkeypatch.setattr(portfolio, "_MAX_ITER", 5)
+        unit = solve_mad(build_mad_model(load_scenarios(R), 3.0))
+        large = solve_mad(build_mad_model(load_scenarios(R * 2.0**33), 3.0))
         assert large.converged and large.iterations == 5
         assert np.array_equal(large.w, unit.w)
         assert large.objective == unit.objective * 2.0**33
@@ -269,7 +274,7 @@ def _hexes(values):
 class TestFrozenDefaults:
     """solve_mad and refine_jstar outputs, stored as float.hex. The first
     two were frozen from the solver whose step, inner tolerance, cycle cap,
-    divergence bound and closed-form switch were SolverConfig fields; the
+    divergence bound and closed-form switch were solver settings; the
     rest from the solver that also pooled the averaged iterate and stopped
     at an iterate norm of 1e8."""
 
@@ -316,10 +321,11 @@ class TestFrozenDefaults:
         assert sol.mad_objective.hex() == "0x1.d31fd7230a460p-6"
         assert sol.iterations == 200 and sol.converged
 
-    def test_unbounded_single_step(self):
+    def test_unbounded_single_step(self, monkeypatch):
         # after one step the best and the averaged iterate are the same
         # point, so the two had equal objectives
-        sol = solve_mad(unbounded_model(), SolverConfig(max_iter=1))
+        monkeypatch.setattr(portfolio, "_MAX_ITER", 1)
+        sol = solve_mad(unbounded_model())
         assert _hexes(sol.w) == [
             "-0x1.48888b55e32f6p-1",
             "0x1.292f02cec338bp+0",
@@ -348,8 +354,10 @@ class TestFrozenDefaults:
 
     def test_unreached_limits_keep_their_values(self):
         # no Dykstra call of the instances above reaches the cycle cap (at
-        # most 200 cycles), so their outputs cannot pin it
+        # most 200 cycles), and their residuals sit far below the
+        # feasibility tolerance, so their outputs cannot pin either
         assert portfolio._INNER_MAX_CYCLES == 20_000
+        assert portfolio._FEAS_TOL == 1e-7
 
 
 class TestRefineJstar:
