@@ -9,8 +9,8 @@ failed), 2 parse error, 3 dimension mismatch, 4 non-convergence (a Dykstra
 run that hit its cycle cap, or a portfolio solve whose residuals exceed the
 fixed feasibility tolerance 1e-7), 5 input outside the model's domain (c0
 not in (0, inf), a degenerate reference scenario), 6 a result outside the
-float range (a norm, a pooled block mean, a Moreau dual half or a cone
-violation above the largest finite double).
+float range (a norm, a pooled block mean, a Moreau dual half, a cone
+violation or a certificate residual above the largest finite double).
 """
 
 from __future__ import annotations
@@ -60,10 +60,14 @@ class CliError(Exception):
 
 
 def _floats_json(values, sep: str) -> str:
-    """Floats at 17 significant digits joined by sep, in one formatting call."""
+    """Floats at 17 significant digits joined by sep, in one formatting call.
+
+    Raises OverflowError for a non-finite value: every input and flag is
+    finite, so only an overflow can have produced it.
+    """
     if not all(map(math.isfinite, values)):
         bad = next(x for x in values if not math.isfinite(x))
-        raise ValueError(f"non-finite value {float(bad)!r} in JSON output")
+        raise OverflowError(f"non-finite value {float(bad)!r} in JSON output")
     return sep.join(["%.17g"] * len(values)) % tuple(values)
 
 
@@ -188,8 +192,8 @@ def cmd_project(args) -> int:
 
 def cmd_check(args) -> int:
     pt = _point(_read_vector(args), args)
-    if args.tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
     violation = _VIOLATIONS[args.cone](pt)
     member = violation <= args.tol
     _emit(
@@ -204,8 +208,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
     if args.p > _ORACLE_DIM_CAP or args.q > _ORACLE_DIM_CAP:
         raise DimensionError(
             f"oracle comparison is capped at p, q <= {_ORACLE_DIM_CAP}; "

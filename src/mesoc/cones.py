@@ -152,15 +152,26 @@ def _finite(violation: float) -> float:
     return violation
 
 
+# finite operands overflow only to a non-finite violation, which `_finite`
+# reports, so numpy's warnings on the way there are silenced
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def _chain_violation(x: np.ndarray, floor: float) -> float:
     """Largest violation of x_1 >= ... >= x_p >= floor (0 if it holds)."""
     return _finite(float(max(0.0, np.max(np.diff(x), initial=0.0), floor - x[-1])))
 
 
+_prefix_sums = _QUIET(np.cumsum)
+
+
+@_QUIET
 def _prefix_violation(prefixes: np.ndarray, cap: float) -> float:
     """Largest violation of proper prefix sums >= 0 and sum >= cap.
 
-    `prefixes` holds the prefix sums of y, so its last entry is sum(y).
+    `prefixes` holds the prefix sums of y from `_prefix_sums`, so its last
+    entry is sum(y).
     """
     return _finite(float(max(0.0, -np.min(prefixes[:-1], initial=0.0), cap - prefixes[-1])))
 
@@ -176,7 +187,7 @@ def cone_violation(cone: ConeId, z) -> float:
         return _chain_violation(z, -math.inf)
     if cone is ConeId.MONOTONE_NONNEG:
         return _chain_violation(z, 0.0)
-    prefixes = np.cumsum(z)
+    prefixes = _prefix_sums(z)
     if cone is ConeId.MONOTONE_DUAL:
         # sum(y) = 0: the prefix rule at 0, and sum(y) <= 0 as well
         return _finite(max(_prefix_violation(prefixes, 0.0), float(prefixes[-1])))

@@ -1,8 +1,10 @@
 """Dykstra alternating-projection oracle over elementary convex pieces.
 
 Every cone in this package can be written as an intersection of pieces
-with textbook projections (halfspaces, hyperplanes, second-order blocks,
-orthants). Dykstra's method with correction vectors converges to the exact
+with textbook projections (halfspaces, hyperplanes and second-order
+blocks), one piece per rule that `cones` and `projection` check; the
+monotone nonnegative pair is the MESOC pair at q = 0 and shares its
+pieces. Dykstra's method with correction vectors converges to the exact
 projection onto the intersection, which makes it a slow but independent
 referee for the closed-form projections. It is also the engine behind
 projecting onto MESOC-intersect-hyperplane in the portfolio solver.
@@ -80,17 +82,7 @@ class LorentzBlock:
         object.__setattr__(self, "vector_indices", v)
 
 
-@dataclass(frozen=True)
-class NonnegOrthant:
-    """{x : x[i] >= 0 for i in indices}"""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
-
-ConvexPiece = Union[Halfspace, Hyperplane, LorentzBlock, NonnegOrthant]
+ConvexPiece = Union[Halfspace, Hyperplane, LorentzBlock]
 
 
 @dataclass(frozen=True)
@@ -114,11 +106,6 @@ def project_piece(piece: ConvexPiece, z) -> np.ndarray:
     if isinstance(piece, Hyperplane):
         gap = piece.b - float(np.dot(piece.a, z))
         return z + (gap / float(np.dot(piece.a, piece.a))) * piece.a
-    if isinstance(piece, NonnegOrthant):
-        out = z.copy()
-        idx = list(piece.indices)
-        out[idx] = np.maximum(out[idx], 0.0)
-        return out
     if isinstance(piece, LorentzBlock):
         return _project_lorentz_block(piece, z)
     raise TypeError(f"unknown piece type {type(piece)!r}")
@@ -189,8 +176,6 @@ def piece_violation(piece: ConvexPiece, z) -> float:
         return float(max(0.0, piece.b - np.dot(piece.a, z)))
     if isinstance(piece, Hyperplane):
         return float(abs(piece.b - np.dot(piece.a, z)))
-    if isinstance(piece, NonnegOrthant):
-        return float(max(0.0, -np.min(z[list(piece.indices)])))
     s0 = float(np.sum(z[list(piece.scalar_indices)]))
     vn = float(np.linalg.norm(z[list(piece.vector_indices)])) if piece.vector_indices else 0.0
     return float(max(0.0, vn - s0))
@@ -231,17 +216,13 @@ def monotone_dual_pieces(p: int) -> list[ConvexPiece]:
 
 
 def monotone_nonneg_pieces(p: int) -> list[ConvexPiece]:
-    _check_dims(p)
-    pieces = _difference_halfspaces(p, p)
-    pieces.append(NonnegOrthant(tuple(range(p))))
-    return pieces
+    """The MESOC pieces at q = 0; the block is x_p >= 0."""
+    return mesoc_pieces(p, 0)
 
 
 def monotone_nonneg_dual_pieces(p: int) -> list[ConvexPiece]:
-    _check_dims(p)
-    pieces = _prefix_halfspaces(p, p)
-    pieces.append(Halfspace(np.ones(p), 0.0))
-    return pieces
+    """The dual MESOC pieces at q = 0; the block is sum(y) >= 0."""
+    return mesoc_dual_pieces(p, 0)
 
 
 def mesoc_pieces(p: int, q: int) -> list[ConvexPiece]:

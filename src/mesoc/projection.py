@@ -48,6 +48,7 @@ from .cones import (
     ConeId,
     DimensionError,
     _chain_violation,
+    _prefix_sums,
     _prefix_violation,
     as_vector,
     cone_contains,
@@ -175,7 +176,7 @@ def mesoc_violation(pt: MesocPoint) -> float:
 
 def mesoc_dual_violation(pt: MesocPoint) -> float:
     """Largest violation of the dual cone inequalities (0 for members)."""
-    return _prefix_violation(np.cumsum(pt.x), pt.u_norm)
+    return _prefix_violation(_prefix_sums(pt.x), pt.u_norm)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

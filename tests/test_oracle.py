@@ -6,7 +6,6 @@ from mesoc.oracle import (
     Halfspace,
     Hyperplane,
     LorentzBlock,
-    NonnegOrthant,
     dykstra_callables,
     dykstra_project,
     mesoc_dual_pieces,
@@ -43,10 +42,6 @@ class TestPieceProjections:
     def test_hyperplane(self):
         piece = Hyperplane(np.array([1.0, 1.0]), 1.0)
         np.testing.assert_allclose(project_piece(piece, [0.0, 0.0]), [0.5, 0.5])
-
-    def test_orthant_touches_only_its_indices(self):
-        piece = NonnegOrthant((1,))
-        np.testing.assert_array_equal(project_piece(piece, [-1.0, -2.0]), [-1.0, 0.0])
 
     def test_lorentz_block_soc_fixture(self):
         piece = LorentzBlock((0,), (1,))
@@ -196,6 +191,32 @@ class TestPieceBuilders:
             z = rng.standard_normal(4)
             by_pieces = all(piece_violation(piece, z) <= 1e-12 for piece in pieces)
             assert by_pieces == (cone_violation(cone, z) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "cone, z",
+        [
+            # x_1 < -tol, yet x_1 >= x_2 >= x_3 >= 0 each hold within tol
+            (ConeId.MONOTONE_NONNEG, [-1.5e-12, -0.6e-12, 0.0]),
+            # every prefix sum is above -tol, and so is sum(y)
+            (ConeId.MONOTONE_NONNEG_DUAL, [-0.9e-12, 0.3e-12, 0.3e-12]),
+        ],
+        ids=["primal", "dual"],
+    )
+    def test_piece_membership_matches_cone_at_tolerance_edge(self, cone, z):
+        # one piece per rule of the cone, so both read the same member
+        pieces = CONE_BUILDERS[cone](3)
+        assert cone_violation(cone, z) <= 1e-12
+        assert all(piece_violation(piece, z) <= 1e-12 for piece in pieces)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_monotone_nonneg_pieces_are_mesoc_pieces_at_q_zero(self, p):
+        for got, want in [
+            (monotone_nonneg_pieces(p), mesoc_pieces(p, 0)),
+            (monotone_nonneg_dual_pieces(p), mesoc_dual_pieces(p, 0)),
+        ]:
+            assert [type(piece) for piece in got] == [type(piece) for piece in want]
+            for a, b in zip(got, want):
+                assert all(map(np.array_equal, vars(a).values(), vars(b).values()))
 
     def test_mesoc_piece_membership_matches(self):
         rng = np.random.default_rng(44)
