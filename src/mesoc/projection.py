@@ -23,10 +23,13 @@ primal - input. The value of l[p] names one of three regimes:
 One PAVA pass plus vector arithmetic makes every projection O(p + q).
 Norms and inner products on this path are numpy reductions, not BLAS
 calls, so a projection never wakes a BLAS thread pool. Every projection
-is returned as a certificate carrying both halves of the Moreau pair and
-their reconstruction residuals. The residuals are rounding diagnostics:
-the dual half is built from the primal, so a wrong primal can read 0 in
-both. `complementarity_check` tests membership of both halves.
+is returned as a certificate carrying the input and both halves of the
+Moreau pair, z and w held by reference. Its two reconstruction residuals
+are computed at their first read from the arrays the certificate holds,
+so a caller that never reads them never pays for them. They are rounding
+diagnostics: the dual half is built from the primal, so a wrong primal
+can read 0 in both. `complementarity_check` tests membership of both
+halves.
 
 Input is validated once, where it enters (the three `project_mesoc*`
 functions, the public `MesocPoint` constructor and `from_vector`), and
@@ -37,6 +40,7 @@ OverflowError from `moreau_half`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -127,6 +131,11 @@ class ProjectionCertificate:
     orthogonal the two halves are. `lam` is populated only in the interior
     case (antiparallel ratio v = -lam * u).
 
+    Each residual is computed once, at its first read, from the arrays the
+    certificate holds. Like the points, the certificate holds the input's
+    z and w by reference, so an input array changed before that read
+    changes what it measures.
+
     The additive residual is a rounding check only: the dual half is
     built as y = x - z and v = u - w, so it reads about 0 whatever the
     PAVA kernel returned. Outside the interior case u or v is zero, and
@@ -138,8 +147,28 @@ class ProjectionCertificate:
     dual_of_neg: MesocPoint
     case: ProjectionCase
     lam: float | None
-    moreau_additive_residual: float
-    moreau_orthogonality_residual: float
+
+    @functools.cached_property
+    def moreau_additive_residual(self) -> float:
+        """||(z, w) - primal + dual_of_neg||."""
+        rx = self.primal.x - self.dual_of_neg.x
+        rx -= self.input.x
+        sumsq = _dot(rx, rx)
+        if self.case is ProjectionCase.INTERIOR:
+            # in the other two cases u or v is zero, so u - v - w and <u, v>
+            # are exactly zero and adding them would change no bit
+            ru = self.primal.u - self.dual_of_neg.u
+            ru -= self.input.u
+            sumsq += _dot(ru, ru)
+        return math.sqrt(sumsq)
+
+    @functools.cached_property
+    def moreau_orthogonality_residual(self) -> float:
+        """|<primal, dual_of_neg>|."""
+        inner = _dot(self.primal.x, self.dual_of_neg.x)
+        if self.case is ProjectionCase.INTERIOR:  # as in the additive residual
+            inner += _dot(self.primal.u, self.dual_of_neg.u)
+        return abs(inner)
 
     def to_dict(self) -> dict:
         return {
@@ -231,7 +260,12 @@ def _project_parts(z: np.ndarray, w: np.ndarray):
 
 
 def project_mesoc_parts(z, w) -> tuple[MesocPoint, MesocPoint]:
-    """Primal and dual-of-negation projections without certificate overhead."""
+    """Primal and dual-of-negation projections, without a certificate.
+
+    The pair is the one `project_mesoc` returns. That call's residuals are
+    computed at their first read from the arrays its certificate holds, so
+    what this one skips is the certificate and its input point.
+    """
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     x, u, y, v, _, _ = _project_parts(z, w)
@@ -239,29 +273,21 @@ def project_mesoc_parts(z, w) -> tuple[MesocPoint, MesocPoint]:
 
 
 def project_mesoc(z, w) -> ProjectionCertificate:
-    """Project (z, w) onto the MESOC and return the full Moreau certificate."""
+    """Project (z, w) onto the MESOC and return the full Moreau certificate.
+
+    A float64 z or w is held by reference, not copied, and the residuals
+    are computed at their first read: change neither array until both
+    residuals have been read, or pass copies.
+    """
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     x, u, y, v, case, lam = _project_parts(z, w)
-    rx = x - y
-    rx -= z
-    sumsq = _dot(rx, rx)
-    inner = _dot(x, y)
-    if case is ProjectionCase.INTERIOR:
-        # in the other two cases u or v is zero, so u - v - w and <u, v>
-        # are exactly zero and adding them would change no bit
-        ru = u - v
-        ru -= w
-        sumsq += _dot(ru, ru)
-        inner += _dot(u, v)
     return ProjectionCertificate(
         input=MesocPoint._computed(z, w),
         primal=MesocPoint._computed(x, u),
         dual_of_neg=MesocPoint._computed(y, v),
         case=case,
         lam=lam,
-        moreau_additive_residual=math.sqrt(sumsq),
-        moreau_orthogonality_residual=abs(inner),
     )
 
 

@@ -18,6 +18,7 @@ from mesoc.cones import (
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
 )
+from mesoc import projection
 from mesoc._pava import pava_nonincreasing_kernel
 from mesoc.projection import (
     MesocPoint,
@@ -720,6 +721,54 @@ class TestComplementarity:
                 cert = project_mesoc(z, w)
             assert not complementarity_check(cert.primal, cert.dual_of_neg).ok
             assert mesoc_violation(cert.primal) > 0
+
+
+class TestOnDemandResiduals:
+    """Each certificate residual is computed at its first read, once."""
+
+    @pytest.mark.parametrize(
+        "z,w,case,dots",
+        [
+            ([0.3, -1.7, 2.2], [0.9, -0.4], ProjectionCase.INTERIOR, 2),
+            ([-1.0, -2.0], [0.5, 0.5], ProjectionCase.DUAL_DOMINATES, 1),
+            ([3.0, 2.0], [0.5, 0.5], ProjectionCase.PRIMAL_DOMINATES, 1),
+        ],
+    )
+    def test_dot_calls(self, monkeypatch, z, w, case, dots):
+        # dots: the _dot calls of one residual, its q-half only in Interior
+        calls = []
+        dot = projection._dot
+        monkeypatch.setattr(projection, "_dot", lambda a, b: calls.append(1) or dot(a, b))
+        cert = project_mesoc(z, w)
+        assert cert.case is case
+        assert len(calls) == 1  # the _norm of w
+        additive = cert.moreau_additive_residual
+        assert len(calls) == 1 + dots
+        assert cert.moreau_orthogonality_residual >= 0.0 and additive >= 0.0
+        assert len(calls) == 1 + 2 * dots
+        cert.to_dict()
+        assert len(calls) == 1 + 2 * dots
+
+    def test_residuals_read_only(self):
+        cert = project_mesoc([0.3, -1.7, 2.2], [0.9, -0.4])
+        for name in ("moreau_additive_residual", "moreau_orthogonality_residual"):
+            before = getattr(cert, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, name, 0.0)
+            assert getattr(cert, name) == before
+
+    def test_input_changed_before_first_read(self):
+        # z is held by reference: a residual read after z changes measures
+        # the changed z, and one read before it keeps its value
+        z = np.array([0.3, -1.7, 2.2])
+        cert = project_mesoc(z, [0.9, -0.4])
+        orthogonality = cert.moreau_orthogonality_residual
+        assert cert.input.x is z
+        z[0] += 1.0
+        assert cert.moreau_additive_residual == pytest.approx(1.0)
+        assert cert.moreau_orthogonality_residual == orthogonality
+        fresh = project_mesoc(z.copy(), [0.9, -0.4])
+        assert fresh.moreau_additive_residual < 1e-12
 
 
 class TestValidation:
