@@ -140,9 +140,14 @@ def project_cone(cone: ConeId, z) -> np.ndarray:
 
 def cone_contains(cone: ConeId, z, tol: float = 0.0) -> bool:
     """Membership test with absolute tolerance on every defining inequality."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     return cone_violation(cone, z) <= tol
+
+
+def _check_tol(tol: float) -> None:
+    # written so that a NaN tol fails too, where `tol < 0` lets it through
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
 
 
 def _finite(violation: float) -> float:

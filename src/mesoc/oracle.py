@@ -1,13 +1,14 @@
 """Dykstra alternating-projection oracle over elementary convex pieces.
 
 Every cone in this package can be written as an intersection of pieces
-with textbook projections (halfspaces, hyperplanes and second-order
-blocks), one piece per rule that `cones` and `projection` check; the
-monotone nonnegative pair is the MESOC pair at q = 0 and shares its
-pieces. Dykstra's method with correction vectors converges to the exact
-projection onto the intersection, which makes it a slow but independent
-referee for the closed-form projections. It is also the engine behind
-projecting onto MESOC-intersect-hyperplane in the portfolio solver.
+with textbook projections (halfspaces and hyperplanes through the origin,
+and second-order blocks), each a cone itself, one piece per rule that
+`cones` and `projection` check; the monotone nonnegative pair is the
+MESOC pair at q = 0 and shares its pieces. Dykstra's method with
+correction vectors converges to the exact projection onto the
+intersection, which makes it a slow but independent referee for the
+closed-form projections. It is also the engine behind projecting onto
+MESOC-intersect-hyperplane in the portfolio solver.
 
 `dykstra_project` stops at a correction increment below _TOL and reports
 a run that reaches _MAX_CYCLES as unconverged; `dykstra_callables` takes
@@ -30,12 +31,11 @@ _TOL = 1e-10
 _MAX_CYCLES = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Halfspace:
-    """{x : <a, x> >= b}"""
+    """{x : <a, x> >= 0}"""
 
     a: np.ndarray
-    b: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a, "a"))
@@ -43,12 +43,11 @@ class Halfspace:
             raise ValueError("halfspace normal must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperplane:
-    """{x : <a, x> = b}"""
+    """{x : <a, x> = 0}"""
 
     a: np.ndarray
-    b: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a, "a"))
@@ -85,7 +84,7 @@ class LorentzBlock:
 ConvexPiece = Union[Halfspace, Hyperplane, LorentzBlock]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DykstraReport:
     """Projection result plus how hard Dykstra had to work for it."""
 
@@ -98,14 +97,11 @@ class DykstraReport:
 def project_piece(piece: ConvexPiece, z) -> np.ndarray:
     """Exact Euclidean projection onto a single piece."""
     z = as_vector(z)
-    if isinstance(piece, Halfspace):
-        gap = piece.b - float(np.dot(piece.a, z))
-        if gap <= 0:
+    if isinstance(piece, (Halfspace, Hyperplane)):
+        inner = float(np.dot(piece.a, z))
+        if inner >= 0 and isinstance(piece, Halfspace):
             return z.copy()
-        return z + (gap / float(np.dot(piece.a, piece.a))) * piece.a
-    if isinstance(piece, Hyperplane):
-        gap = piece.b - float(np.dot(piece.a, z))
-        return z + (gap / float(np.dot(piece.a, piece.a))) * piece.a
+        return z - (inner / float(np.dot(piece.a, piece.a))) * piece.a
     if isinstance(piece, LorentzBlock):
         return _project_lorentz_block(piece, z)
     raise TypeError(f"unknown piece type {type(piece)!r}")
@@ -173,9 +169,9 @@ def piece_violation(piece: ConvexPiece, z) -> float:
     """How far z is from satisfying the piece's constraint (0 if satisfied)."""
     z = as_vector(z)
     if isinstance(piece, Halfspace):
-        return float(max(0.0, piece.b - np.dot(piece.a, z)))
+        return float(max(0.0, -np.dot(piece.a, z)))
     if isinstance(piece, Hyperplane):
-        return float(abs(piece.b - np.dot(piece.a, z)))
+        return float(abs(np.dot(piece.a, z)))
     s0 = float(np.sum(z[list(piece.scalar_indices)]))
     vn = float(np.linalg.norm(z[list(piece.vector_indices)])) if piece.vector_indices else 0.0
     return float(max(0.0, vn - s0))
@@ -188,7 +184,7 @@ def _difference_halfspaces(p: int, dim: int) -> list[ConvexPiece]:
         a = np.zeros(dim)
         a[i] = 1.0
         a[i + 1] = -1.0
-        pieces.append(Halfspace(a, 0.0))
+        pieces.append(Halfspace(a))
     return pieces
 
 
@@ -198,7 +194,7 @@ def _prefix_halfspaces(p: int, dim: int) -> list[ConvexPiece]:
     for j in range(1, p):
         a = np.zeros(dim)
         a[:j] = 1.0
-        pieces.append(Halfspace(a, 0.0))
+        pieces.append(Halfspace(a))
     return pieces
 
 
@@ -211,7 +207,7 @@ def monotone_pieces(p: int) -> list[ConvexPiece]:
 def monotone_dual_pieces(p: int) -> list[ConvexPiece]:
     _check_dims(p)
     pieces = _prefix_halfspaces(p, p)
-    pieces.append(Hyperplane(np.ones(p), 0.0))
+    pieces.append(Hyperplane(np.ones(p)))
     return pieces
 
 

@@ -53,7 +53,7 @@ class ModelDomainError(ValueError):
     """Well-formed data outside the model's domain (c0 outside (0, inf), degenerate j*)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioData:
     """Validated scenario return matrix (T x n) with scenario probabilities."""
 
@@ -134,7 +134,7 @@ def read_returns_csv(path, probabilities_column: int | None = None) -> ScenarioD
     return load_scenarios(parsed, probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MadModel:
     """Built model: expected returns, deviations, and the cone layout.
 
@@ -206,7 +206,7 @@ class FeasibilityReport:
         return max(self.sum_u_residual, self.cone_violation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MadSolution:
     """Solver output: weights, deviation bounds, objectives, diagnostics.
 

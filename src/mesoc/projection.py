@@ -52,6 +52,7 @@ from .cones import (
     ConeId,
     DimensionError,
     _chain_violation,
+    _check_tol,
     _prefix_sums,
     _prefix_violation,
     as_vector,
@@ -60,12 +61,12 @@ from .cones import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MesocPoint:
     """A point (x, u) in R^p x R^q, identified with the concatenation.
 
     q = 0 is allowed (empty u), in which case the cone degenerates to the
-    monotone nonnegative cone in R^p.
+    monotone nonnegative cone in R^p. Points compare and hash by identity.
     """
 
     x: np.ndarray
@@ -121,7 +122,7 @@ class ProjectionCase(Enum):
     INTERIOR = "Interior"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionCertificate:
     """Moreau pair for one projection onto the MESOC.
 
@@ -138,8 +139,9 @@ class ProjectionCertificate:
 
     The additive residual is a rounding check only: the dual half is
     built as y = x - z and v = u - w, so it reads about 0 whatever the
-    PAVA kernel returned. Outside the interior case u or v is zero, and
-    the q-half terms of both residuals are exactly zero.
+    PAVA kernel returned. Both residuals take their q-half terms in every
+    case; outside the interior case u or v is zero, so those terms are
+    exactly zero and change no bit.
     """
 
     input: MesocPoint
@@ -153,22 +155,15 @@ class ProjectionCertificate:
         """||(z, w) - primal + dual_of_neg||."""
         rx = self.primal.x - self.dual_of_neg.x
         rx -= self.input.x
-        sumsq = _dot(rx, rx)
-        if self.case is ProjectionCase.INTERIOR:
-            # in the other two cases u or v is zero, so u - v - w and <u, v>
-            # are exactly zero and adding them would change no bit
-            ru = self.primal.u - self.dual_of_neg.u
-            ru -= self.input.u
-            sumsq += _dot(ru, ru)
-        return math.sqrt(sumsq)
+        ru = self.primal.u - self.dual_of_neg.u
+        ru -= self.input.u
+        return math.sqrt(_dot(rx, rx) + _dot(ru, ru))
 
     @functools.cached_property
     def moreau_orthogonality_residual(self) -> float:
         """|<primal, dual_of_neg>|."""
-        inner = _dot(self.primal.x, self.dual_of_neg.x)
-        if self.case is ProjectionCase.INTERIOR:  # as in the additive residual
-            inner += _dot(self.primal.u, self.dual_of_neg.u)
-        return abs(inner)
+        xy, uv = _inner_halves(self.primal, self.dual_of_neg)
+        return abs(xy + uv)
 
     def to_dict(self) -> dict:
         return {
@@ -186,15 +181,13 @@ class ProjectionCertificate:
 
 def mesoc_contains(pt: MesocPoint, tol: float = 0.0) -> bool:
     """True iff x is nonincreasing and x_p >= ||u||, within tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     return mesoc_violation(pt) <= tol
 
 
 def mesoc_dual_contains(pt: MesocPoint, tol: float = 0.0) -> bool:
     """True iff all proper prefix sums of y are >= 0 and sum(y) >= ||v||, within tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     return mesoc_dual_violation(pt) <= tol
 
 
@@ -212,6 +205,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # einsum's own loop: np.dot and np.linalg.norm would call BLAS, whose
     # worker threads cost more than the whole reduction at large n
     return float(np.einsum("i,i->", a, b))
+
+
+def _inner_halves(a: MesocPoint, b: MesocPoint) -> tuple[float, float]:
+    """(<a.x, b.x>, <a.u, b.u>), the two halves of <a, b>."""
+    return _dot(a.x, b.x), _dot(a.u, b.u)
 
 
 # below this a sum of squares may have lost terms to underflow; each lost
@@ -331,13 +329,14 @@ def complementarity_check(a: MesocPoint, b: MesocPoint, tol: float = 1e-8) -> Co
         raise DimensionError(
             f"dimension mismatch: ({a.p},{a.q}) vs ({b.p},{b.q})"
         )
-    in_primal = mesoc_contains(a, tol)  # raises for a negative tol
-    in_dual = mesoc_dual_contains(b, tol)
-    uv = _dot(a.u, b.u)
-    inner = _dot(a.x, b.x) + uv
+    _check_tol(tol)
+    u_norm, v_norm = a.u_norm, b.u_norm
+    in_primal = _chain_violation(a.x, u_norm) <= tol
+    in_dual = _prefix_violation(_prefix_sums(b.x), v_norm) <= tol
+    xy, uv = _inner_halves(a, b)
+    inner = xy + uv
     ok = in_primal and in_dual and abs(inner) <= tol
 
-    u_norm, v_norm = a.u_norm, b.u_norm
     if u_norm > 0.0 and v_norm > 0.0:
         xp_eq = abs(float(a.x[-1]) - u_norm) <= tol
         sum_eq = abs(float(np.sum(b.x)) - v_norm) <= tol

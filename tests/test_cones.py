@@ -194,6 +194,10 @@ class TestMembership:
         with pytest.raises(ValueError):
             cone_contains(ConeId.MONOTONE, [1.0], -1e-3)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            cone_contains(ConeId.MONOTONE, [1.0], float("nan"))
+
     @pytest.mark.parametrize("cone", ALL_CONES)
     def test_violation_zero_iff_member(self, cone):
         rng = np.random.default_rng(8)

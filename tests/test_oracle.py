@@ -35,13 +35,17 @@ CONE_BUILDERS = {
 
 class TestPieceProjections:
     def test_halfspace(self):
-        piece = Halfspace(np.array([1.0]), 0.0)
+        piece = Halfspace(np.array([1.0]))
         np.testing.assert_array_equal(project_piece(piece, [-3.0]), [0.0])
         np.testing.assert_array_equal(project_piece(piece, [2.0]), [2.0])
+        assert piece_violation(piece, [-3.0]) == 3.0
+        assert piece_violation(piece, [2.0]) == 0.0
 
     def test_hyperplane(self):
-        piece = Hyperplane(np.array([1.0, 1.0]), 1.0)
-        np.testing.assert_allclose(project_piece(piece, [0.0, 0.0]), [0.5, 0.5])
+        piece = Hyperplane(np.array([1.0, 1.0]))
+        np.testing.assert_allclose(project_piece(piece, [2.0, 0.0]), [1.0, -1.0])
+        np.testing.assert_array_equal(project_piece(piece, [1.0, -1.0]), [1.0, -1.0])
+        assert piece_violation(piece, [2.0, 0.0]) == 2.0
 
     def test_lorentz_block_soc_fixture(self):
         piece = LorentzBlock((0,), (1,))
@@ -80,9 +84,9 @@ class TestPieceProjections:
 
     def test_zero_normals_rejected(self):
         with pytest.raises(ValueError):
-            Halfspace(np.zeros(2), 0.0)
+            Halfspace(np.zeros(2))
         with pytest.raises(ValueError):
-            Hyperplane(np.zeros(3), 1.0)
+            Hyperplane(np.zeros(3))
 
     def test_lorentz_block_index_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -95,7 +99,7 @@ class TestPieceProjections:
 
 class TestDykstraEngine:
     def test_single_piece_equals_direct_projection(self):
-        piece = Halfspace(np.array([1.0, -1.0]), 0.0)
+        piece = Halfspace(np.array([1.0, -1.0]))
         rep = dykstra_project([piece], [1.0, 4.0])
         assert rep.converged
         np.testing.assert_allclose(rep.point, project_piece(piece, [1.0, 4.0]), atol=1e-12)

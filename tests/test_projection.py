@@ -147,6 +147,15 @@ class TestMembership:
         with pytest.raises(ValueError):
             complementarity_check(pt, pt, -1e-3)
 
+    def test_nan_tol_rejected(self):
+        # a NaN tol fails every comparison, so it must not read as a verdict
+        pt = MesocPoint(np.array([2.0, 1.0]), np.array([0.5]))
+        for contains in (mesoc_contains, mesoc_dual_contains):
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                contains(pt, math.nan)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            complementarity_check(pt, pt, math.nan)
+
     def test_cone_shift_equivalences(self):
         # (x,u) in the cone iff x - ||u||e is monotone nonnegative, and the
         # dual analogue with the shift on the last coordinate only
@@ -723,19 +732,22 @@ class TestComplementarity:
             assert mesoc_violation(cert.primal) > 0
 
 
+ONE_PER_CASE = pytest.mark.parametrize(
+    "z,w,case",
+    [
+        ([0.3, -1.7, 2.2], [0.9, -0.4], ProjectionCase.INTERIOR),
+        ([-1.0, -2.0], [0.5, 0.5], ProjectionCase.DUAL_DOMINATES),
+        ([3.0, 2.0], [0.5, 0.5], ProjectionCase.PRIMAL_DOMINATES),
+    ],
+)
+
+
 class TestOnDemandResiduals:
     """Each certificate residual is computed at its first read, once."""
 
-    @pytest.mark.parametrize(
-        "z,w,case,dots",
-        [
-            ([0.3, -1.7, 2.2], [0.9, -0.4], ProjectionCase.INTERIOR, 2),
-            ([-1.0, -2.0], [0.5, 0.5], ProjectionCase.DUAL_DOMINATES, 1),
-            ([3.0, 2.0], [0.5, 0.5], ProjectionCase.PRIMAL_DOMINATES, 1),
-        ],
-    )
-    def test_dot_calls(self, monkeypatch, z, w, case, dots):
-        # dots: the _dot calls of one residual, its q-half only in Interior
+    @ONE_PER_CASE
+    def test_dot_calls(self, monkeypatch, z, w, case):
+        # each residual takes its x-half and its q-half in every case
         calls = []
         dot = projection._dot
         monkeypatch.setattr(projection, "_dot", lambda a, b: calls.append(1) or dot(a, b))
@@ -743,11 +755,27 @@ class TestOnDemandResiduals:
         assert cert.case is case
         assert len(calls) == 1  # the _norm of w
         additive = cert.moreau_additive_residual
-        assert len(calls) == 1 + dots
+        assert len(calls) == 3
         assert cert.moreau_orthogonality_residual >= 0.0 and additive >= 0.0
-        assert len(calls) == 1 + 2 * dots
+        assert len(calls) == 5
         cert.to_dict()
-        assert len(calls) == 1 + 2 * dots
+        assert len(calls) == 5
+
+    @ONE_PER_CASE
+    def test_complementarity_inner_product_is_orthogonality(self, z, w, case):
+        cert = project_mesoc(z, w)
+        assert cert.case is case
+        report = complementarity_check(cert.primal, cert.dual_of_neg)
+        assert abs(report.inner_product).hex() == cert.moreau_orthogonality_residual.hex()
+
+    def test_complementarity_reads_each_norm_once(self, monkeypatch):
+        cert = project_mesoc([0.3, -1.7, 2.2], [0.9, -0.4])
+        calls = []
+        norm = projection._norm
+        monkeypatch.setattr(projection, "_norm", lambda a: calls.append(1) or norm(a))
+        report = complementarity_check(cert.primal, cert.dual_of_neg)
+        assert report.uv_antiparallel is not None  # the structural checks ran
+        assert len(calls) == 2
 
     def test_residuals_read_only(self):
         cert = project_mesoc([0.3, -1.7, 2.2], [0.9, -0.4])

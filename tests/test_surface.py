@@ -1,12 +1,14 @@
 """The public surface: exported names, the portfolio signatures, the
-flags of each CLI verb, what importing the package loads, the functions
-the benchmark's tracer wraps, the BLAS calls the projection path avoids,
-and the README's and the demo script's examples.
+flags of each CLI verb, how the result types compare, what importing the
+package loads, the functions the benchmark's tracer wraps, the BLAS calls
+the projection path avoids, and the README's and the demo script's
+examples.
 
 A change that adds a knob or drops a feature has to edit these lists.
 """
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -21,6 +23,7 @@ import pytest
 
 import mesoc
 from mesoc.cli import build_parser
+from mesoc.oracle import Halfspace, Hyperplane
 
 PUBLIC_NAMES = [
     "ComplementarityReport",
@@ -135,6 +138,51 @@ def test_cli_flags_unchanged():
 )
 def test_portfolio_parameters_unchanged(func, params):
     assert list(inspect.signature(func).parameters) == params
+
+
+_SCENARIOS = [[0.01, 0.02], [0.03, -0.01], [-0.02, 0.01]]
+
+# each dataclass holding an ndarray, directly or in a MesocPoint, built
+# from equal values on every call
+ARRAY_HOLDERS = {
+    mesoc.MesocPoint: lambda: mesoc.MesocPoint([2.0, 1.0], [0.5]),
+    mesoc.ProjectionCertificate: lambda: mesoc.project_mesoc([0.3, -1.7, 2.2], [0.9, -0.4]),
+    mesoc.DykstraReport: lambda: mesoc.dykstra_project(mesoc.mesoc_pieces(1, 1), [0.3, 0.5]),
+    Halfspace: lambda: Halfspace(np.array([1.0, -1.0])),
+    Hyperplane: lambda: Hyperplane(np.ones(2)),
+    mesoc.ScenarioData: lambda: mesoc.load_scenarios(_SCENARIOS),
+    mesoc.MadModel: lambda: mesoc.build_mad_model(mesoc.load_scenarios(_SCENARIOS), 1.0),
+    mesoc.MadSolution: lambda: mesoc.refine_jstar(mesoc.load_scenarios(_SCENARIOS), 1.0),
+}
+
+
+def test_array_holders_listed():
+    found = {
+        obj
+        for module in (mesoc.cones, mesoc.projection, mesoc.oracle, mesoc.portfolio)
+        for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+        and any(
+            held in str(f.type)
+            for f in dataclasses.fields(obj)
+            for held in ("ndarray", "MesocPoint")
+        )
+    }
+    assert found == set(ARRAY_HOLDERS)
+
+
+@pytest.mark.parametrize("cls", ARRAY_HOLDERS, ids=lambda cls: cls.__name__)
+def test_array_holders_compare_by_identity(cls):
+    # a generated __eq__ would compare the arrays elementwise and raise, and
+    # the generated __hash__ would raise on the arrays
+    a, b = ARRAY_HOLDERS[cls](), ARRAY_HOLDERS[cls]()
+    assert type(a) is cls
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    copy = dataclasses.replace(a)
+    assert type(copy) is cls and copy != a
 
 
 def test_import_loads_no_scipy():
