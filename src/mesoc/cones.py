@@ -62,18 +62,22 @@ def as_vector(z, name: str = "z", allow_empty: bool = False) -> np.ndarray:
     return arr
 
 
-def moreau_half(primal: np.ndarray, z: np.ndarray) -> np.ndarray:
+def moreau_half(primal: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The dual half primal - z of the Moreau pair of finite z.
 
+    Written into `out` when it is given (a float64 array of z's shape,
+    which is returned), else into a fresh array.
+
     Raises OverflowError when a difference of the finite operands is
-    above the largest double, e.g. 1.7e308 - (-1.7e308). A difference of
-    finite doubles leaves the float range only by overflowing, so numpy's
-    overflow flag, raised within this call whatever the caller's error
-    state, reports it without a second scan of the result.
+    above the largest double, e.g. 1.7e308 - (-1.7e308); `out` then holds
+    a partial result. A difference of finite doubles leaves the float
+    range only by overflowing, so numpy's overflow flag, raised within
+    this call whatever the caller's error state, reports it without a
+    second scan of the result.
     """
     try:
         with np.errstate(over="raise"):
-            return primal - z
+            return np.subtract(primal, z, out=out)
     except FloatingPointError:
         raise OverflowError("a Moreau dual half exceeds the float range") from None
 

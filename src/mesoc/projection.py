@@ -31,6 +31,11 @@ diagnostics: the dual half is built from the primal, so a wrong primal
 can read 0 in both. `complementarity_check` tests membership of both
 halves.
 
+A projection allocates one buffer of 2(p + q) + 1 doubles and returns
+its halves x, u, y and v as views of it, so keeping any one half keeps
+the whole buffer alive (3.2 MB at p = q = 100 000); `.copy()` a half to
+keep it alone.
+
 Input is validated once, where it enters (the three `project_mesoc*`
 functions, the public `MesocPoint` constructor and `from_vector`), and
 the arrays a projection computes are not checked again: the one way they
@@ -238,23 +243,38 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _project_parts(z: np.ndarray, w: np.ndarray):
-    """One lifted PAVA pass; returns (x, u, y, v, case, lam)."""
+    """One lifted PAVA pass; returns (x, u, y, v, case, lam).
+
+    The four halves are views of one buffer of 2(p + q) + 1 doubles,
+    laid out as lifted (z, ||w||), then y, u and v, with x = lifted[:p].
+    With one allocation per projection rather than one per half, glibc's
+    malloc stops handing large projections fresh pages on every call.
+    """
+    p, q = z.size, w.size
     w_norm = _norm(w)
-    lifted = np.empty(z.size + 1)
+    buf = np.empty(2 * (p + q) + 1)
+    lifted = buf[: p + 1]
+    y = buf[p + 1 : 2 * p + 1]
+    u = buf[2 * p + 1 : 2 * p + q + 1]
+    v = buf[2 * p + q + 1 :]
     lifted[:-1] = z
     lifted[-1] = w_norm
-    lifted = pava_nonincreasing_kernel(lifted)
-    np.maximum(lifted, 0.0, out=lifted)
+    np.maximum(pava_nonincreasing_kernel(lifted), 0.0, out=lifted)
     x = lifted[:-1]
-    y = moreau_half(x, z)
+    moreau_half(x, z, out=y)
     t = float(lifted[-1])  # the part of ||w|| the primal keeps
     if t >= w_norm:
         # includes w = 0 and q = 0; the primal keeps all of w
-        return x, w.copy(), y, np.zeros_like(w), ProjectionCase.PRIMAL_DOMINATES, None
+        u[...] = w
+        v.fill(0.0)
+        return x, u, y, v, ProjectionCase.PRIMAL_DOMINATES, None
     if t == 0.0:
-        return x, np.zeros_like(w), y, -w, ProjectionCase.DUAL_DOMINATES, None
-    u = (t / w_norm) * w
-    return x, u, y, u - w, ProjectionCase.INTERIOR, w_norm / t - 1.0
+        u.fill(0.0)
+        np.negative(w, out=v)
+        return x, u, y, v, ProjectionCase.DUAL_DOMINATES, None
+    np.multiply(t / w_norm, w, out=u)
+    np.subtract(u, w, out=v)
+    return x, u, y, v, ProjectionCase.INTERIOR, w_norm / t - 1.0
 
 
 def project_mesoc_parts(z, w) -> tuple[MesocPoint, MesocPoint]:
@@ -262,7 +282,9 @@ def project_mesoc_parts(z, w) -> tuple[MesocPoint, MesocPoint]:
 
     The pair is the one `project_mesoc` returns. That call's residuals are
     computed at their first read from the arrays its certificate holds, so
-    what this one skips is the certificate and its input point.
+    what this one skips is the certificate and its input point. The four
+    halves are views of one buffer of 2(p + q) + 1 doubles, which any
+    half kept alive keeps whole; `.copy()` a half to keep it alone.
     """
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
@@ -275,7 +297,9 @@ def project_mesoc(z, w) -> ProjectionCertificate:
 
     A float64 z or w is held by reference, not copied, and the residuals
     are computed at their first read: change neither array until both
-    residuals have been read, or pass copies.
+    residuals have been read, or pass copies. The primal and dual halves
+    are views of one buffer of 2(p + q) + 1 doubles, which any half kept
+    alive keeps whole; `.copy()` a half to keep it alone.
     """
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
@@ -290,7 +314,12 @@ def project_mesoc(z, w) -> ProjectionCertificate:
 
 
 def project_mesoc_dual(z, w) -> MesocPoint:
-    """Projection onto the dual MESOC, via Moreau on the negated input."""
+    """Projection onto the dual MESOC, via Moreau on the negated input.
+
+    Its y and v are views of the projection's one buffer of 2(p + q) + 1
+    doubles, whose primal half goes unused but stays allocated while
+    either is kept; `.copy()` them to keep p + q doubles alone.
+    """
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     _, _, y, v, _, _ = _project_parts(-z, -w)

@@ -254,6 +254,37 @@ def test_benchmark_trace_targets_resolve():
     assert count > 0 and missing == []
 
 
+def test_benchmark_trace_sees_one_kernel_call():
+    # A target that resolves can still be bypassed: a projection that
+    # stopped calling the named kernel would empty the pava.kernel.*
+    # per-layer metrics without a word. With the tracer installed as the
+    # benchmark installs it, one projection at p = q = 200 makes one
+    # kernel call, on the lifted vector of p + 1 values.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "import numpy as np\n"
+        "import tracing\n"
+        "from mesoc import project_mesoc\n"
+        "rng = np.random.default_rng(44)\n"
+        "z, w = rng.standard_normal(200), rng.standard_normal(200)\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "tracer.begin_op()\n"
+        "project_mesoc(z, w)\n"
+        "tracer.end_op(0, 1)\n"
+        "kernel = tracer.totals['pava.kernel']\n"
+        "print(json.dumps([tracer.absent, kernel.calls, kernel.extra.get('elements')]))\n"
+    )
+    src = str(Path(mesoc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [[], 1, 201]
+
+
 BLAS_ENTRY_POINTS = [
     (np, "dot"),
     (np, "vdot"),
