@@ -19,8 +19,13 @@ PAVA may pool adjacent violators in any order and reach the same fit
 At or below `_SMALL` values the loop runs alone, on `z.tolist()` with
 unit counts, where a numpy call costs more than it saves.
 
-A block mean that is not finite can only come from an overflow, since
-callers pass finite values; the kernel then raises OverflowError.
+A block mean of finite values is finite, but its block sum may overflow,
+leaving the mean infinite or NaN. The kernel then pools again on the
+values scaled by 2^-k, with 2^k above their count, so that no sum leaves
+the float range, and scales the fit back by 2^k. Both scalings are exact
+except that values below 2^(k - 1022) in magnitude lose low bits to
+subnormal rounding on the way down. Every fit that the first pass gets
+finite is returned as it is.
 """
 
 from itertools import repeat
@@ -65,10 +70,7 @@ def _pool_rising_chains(z: np.ndarray) -> tuple[list, list]:
 
 
 def pava_nonincreasing_kernel(z: np.ndarray) -> np.ndarray:
-    """Projection of a 1-D float64 array onto {x_1 >= ... >= x_p}.
-
-    Raises OverflowError when a pooled block mean is not finite.
-    """
+    """Projection of a 1-D finite float64 array onto {x_1 >= ... >= x_p}."""
     if z.size > _SMALL:
         blocks = zip(*_pool_rising_chains(z))
     else:
@@ -92,5 +94,8 @@ def pava_nonincreasing_kernel(z: np.ndarray) -> np.ndarray:
     # a finite sum rules out inf and NaN; only an infinite one, which the
     # sum alone may cause, needs the test of every block
     if not isfinite(sum(values)) and not all(map(isfinite, values)):
-        raise OverflowError("a pooled block mean exceeds the float range")
+        # a block sum overflowed; no sum of fewer than 2^k values scaled by
+        # 2^-k can, so this retry is the last
+        k = z.size.bit_length()
+        return np.ldexp(pava_nonincreasing_kernel(np.ldexp(z, -k)), k)
     return np.repeat(np.array(values, dtype=np.float64), counts[1:])

@@ -9,8 +9,8 @@ failed), 2 parse error, 3 dimension mismatch, 4 non-convergence (a Dykstra
 run that hit its cycle cap, or a portfolio solve whose residuals exceed the
 fixed feasibility tolerance 1e-7), 5 input outside the model's domain (c0
 not in (0, inf), a degenerate reference scenario), 6 a result outside the
-float range (a norm, a pooled block mean, a Moreau dual half, a cone
-violation or a certificate residual above the largest finite double).
+float range (a norm, a Moreau dual half, a cone violation or a
+certificate residual above the largest finite double).
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ _VIOLATIONS = {"mesoc": mesoc_violation, "mesoc-dual": mesoc_dual_violation}
 _VIOLATIONS.update({c: partial(cone_violation, c) for c in _VECTOR_CONES})
 _ORACLE_DIM_CAP = 8
 _FLOAT_TYPES = {float, np.float64}
-
-
-class CliError(Exception):
-    """Carries the exit code alongside the message."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _floats_json(values, sep: str) -> str:
@@ -129,20 +121,20 @@ def parse_vector(text: str) -> np.ndarray:
     try:
         values = list(map(float, filter(str.strip, cells)))
     except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"malformed number in vector: {exc}") from None
+        raise ValueError(f"malformed number in vector: {exc}") from None
     return np.asarray(values, dtype=np.float64)
 
 
 def _read_vector(args) -> np.ndarray:
     if (args.inline is None) == (args.file is None):
-        raise CliError(EXIT_PARSE, "exactly one of --inline or --file is required")
+        raise ValueError("exactly one of --inline or --file is required")
     if args.inline is not None:
         return parse_vector(args.inline)
     try:
         with open(args.file) as fh:
             return parse_vector(fh.read())
     except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot read {args.file}: {exc}") from None
+        raise ValueError(f"cannot read {args.file}: {exc}") from None
 
 
 def _point(vec: np.ndarray, args) -> MesocPoint | np.ndarray:
@@ -258,7 +250,7 @@ def cmd_oracle_compare(args) -> int:
 
 def cmd_solve_portfolio(args) -> int:
     if args.file is None:
-        raise CliError(EXIT_PARSE, "--file with scenario returns is required")
+        raise ValueError("--file with scenario returns is required")
     data = read_returns_csv(args.file, args.probabilities_column)
     sol = refine_jstar(data, args.c0)
     _emit(sol.to_dict())
@@ -316,9 +308,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

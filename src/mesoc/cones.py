@@ -92,8 +92,10 @@ def pava_nonincreasing(z) -> np.ndarray:
     (no internal tolerance); the output is blockwise constant and each
     block value is the mean of its inputs.
 
-    Raises OverflowError when a pooled block mean is above the largest
-    double, e.g. for [1e308, 1.7e308].
+    A block sum above the largest double, as in [1e308, 1.7e308], is
+    pooled again on z scaled by 2^-k (2^k above len(z)) and the fit scaled
+    back; there, entries below 2^(k - 1022) in magnitude lose low bits to
+    subnormal rounding.
     """
     z = as_vector(z)
     return pava_nonincreasing_kernel(z)

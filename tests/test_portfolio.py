@@ -3,6 +3,7 @@ import pytest
 
 from mesoc import portfolio
 from mesoc.cones import DimensionError
+from mesoc.oracle import dykstra_callables
 from mesoc.portfolio import (
     build_mad_model,
     load_scenarios,
@@ -383,6 +384,26 @@ class TestRefineJstar:
             if sol.jstar_stable:
                 refit = build_mad_model(data, model.c0, w0=sol.w)
                 assert refit.jstar == sol.jstar
+
+    def test_inner_cycle_cap_keeps_answer_and_converged(self, monkeypatch):
+        # converged is measured on the returned point alone, which both
+        # candidates make exactly feasible however the Dykstra runs ended
+        data = load_scenarios(np.array([[0.5, 0.0], [0.0, 0.25], [0.25, 0.5]]))
+        full = refine_jstar(data, c0=1.0)
+        stopped = []
+
+        def dykstra(*args):
+            rep = dykstra_callables(*args)
+            stopped.append(not rep.converged)
+            return rep
+
+        monkeypatch.setattr(portfolio, "_INNER_MAX_CYCLES", 1)
+        monkeypatch.setattr(portfolio, "dykstra_callables", dykstra)
+        capped = refine_jstar(data, c0=1.0)
+        assert any(stopped)
+        assert capped.w.tobytes() == full.w.tobytes()
+        assert capped.feasibility.max_residual == 0.0
+        assert capped.converged and full.converged
 
     def test_deterministic(self):
         rng = np.random.default_rng(60)

@@ -18,6 +18,7 @@ from mesoc.cones import (
     DimensionError,
     cone_contains,
     cone_violation,
+    pava_nonincreasing,
     project_cone,
     project_monotone_dual,
     project_monotone_nonneg,
@@ -654,6 +655,30 @@ class TestMoreau:
             alpha * base.as_vector(),
             atol=1e-9 * (1 + alpha * (np.linalg.norm(z) + np.linalg.norm(w))),
         )
+
+    def test_power_of_two_scaling_is_bitwise(self):
+        # multiplying by 2^k is exact while every value stays normal, and so
+        # is every step of a projection: the output scales bit for bit
+        rng = np.random.default_rng(2718)
+        cases = set()
+        for draw in range(400):
+            p, q = int(rng.integers(1, 301)), int(rng.integers(0, 40))
+            z = rng.standard_normal(p) + rng.choice([-3.0, 0.0, 3.0])
+            w = rng.uniform(0.1, 10.0) * rng.standard_normal(q)
+            if draw % 4 == 0:
+                z.sort()
+            base = project_mesoc(z, w)
+            fit = pava_nonincreasing(z)
+            cases.add(base.case)
+            for k in (-500, -60, -7, 3, 40, 500):
+                got = project_mesoc(np.ldexp(z, k), np.ldexp(w, k))
+                assert got.case is base.case
+                assert got.lam == base.lam
+                for half in ("primal", "dual_of_neg"):
+                    want = np.ldexp(getattr(base, half).as_vector(), k)
+                    assert getattr(got, half).as_vector().tobytes() == want.tobytes()
+                assert pava_nonincreasing(np.ldexp(z, k)).tobytes() == np.ldexp(fit, k).tobytes()
+        assert cases == set(ProjectionCase)
 
 
 class TestLorentzSpecialization:
