@@ -1,5 +1,10 @@
 import json
+import math
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +18,17 @@ from mesoc.cli import (
     EXIT_OVERFLOW,
     EXIT_PARSE,
     EXIT_VIOLATION,
+    _emit,
     format_json,
     main,
     parse_vector,
 )
-from mesoc.projection import mesoc_dual_violation, project_mesoc, project_mesoc_dual
+from mesoc.projection import (
+    ProjectionCase,
+    mesoc_dual_violation,
+    project_mesoc,
+    project_mesoc_dual,
+)
 from support import reference_format_json
 
 EXTREMES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
@@ -124,6 +135,15 @@ class TestFormatJsonBytes:
             np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0,
             {"outer": {"inner": {"xs": [0.1, 0.2], "n": 3}}},
             [{"instance": 0, "deviation": 1e-17, "cycles": 12, "converged": True}] * 3,
+            # oracle-compare's shape: a list of dicts inside a dict
+            {
+                "p": 4,
+                "max_deviation": 2.5e-11,
+                "rows": [
+                    {"instance": i, "deviation": i / 3e10, "cycles": 40 + i, "converged": i != 1}
+                    for i in range(3)
+                ],
+            },
             [1, 2.5, -0.0, 3, np.float32(0.1), np.float16(2.0)],
             [[1.0, 2.0], [], [3.0]],
             1.0 / 3.0,
@@ -146,6 +166,80 @@ class TestFormatJsonBytes:
         with pytest.raises(OverflowError) as got:
             format_json({"xs": np.array(values)})
         assert str(got.value) == str(want.value)
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+class TestEmit:
+    """`_emit` makes every piece of the document before it writes any."""
+
+    def test_traced_peak_within_one_and_a_half_outputs(self, monkeypatch):
+        # the p = q = 10 000 interior certificate, about 1.5 MB of JSON; as
+        # one concatenated document the writer peaked at 3.0 times that
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(10_000) + 3.0
+        w = rng.standard_normal(10_000)
+        w *= 10.0 / np.sqrt(np.sum(w * w))
+        cert = project_mesoc(z, w)
+        assert cert.case is ProjectionCase.INTERIOR
+        payload = {"cone": "mesoc", **cert.to_dict()}
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _emit(payload)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert sink.written == len(format_json(payload)) + 1
+        assert peak <= 1.5 * sink.written, peak / sink.written
+
+    def test_rejected_value_writes_nothing(self, capsys):
+        with pytest.raises(OverflowError, match="non-finite value inf in JSON output"):
+            _emit({"a": [1.0], "b": [math.inf], "c": 2.0})
+        assert capsys.readouterr().out == ""
+
+    def test_pipe_round_trip(self, tmp_path):
+        # stdout as a real pipe, read by the checker that CI runs on it
+        script = Path(__file__).resolve().parents[1] / "scripts" / "cli_pipe_check.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(portfolio.__file__).resolve().parents[1])}
+        vec = tmp_path / "vec.txt"
+        check = [sys.executable, str(script), "check", str(vec)]
+        subprocess.run([sys.executable, str(script), "write", str(vec)], env=env, check=True)
+        argv = ["project", "--p", "10000", "--q", "10000", "--file", str(vec)]
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "mesoc.cli", *argv], env=env, stdout=subprocess.PIPE
+        )
+        good = subprocess.run(check, env=env, stdin=cli.stdout, capture_output=True, text=True)
+        cli.stdout.close()
+        assert cli.wait(timeout=60) == EXIT_OK
+        assert good.returncode == 0, good.stderr
+        # the checker rejects a primal one ulp off in one entry
+        vals = parse_vector(vec.read_text())
+        primal = project_mesoc(vals[:10_000], vals[10_000:]).primal.as_vector()
+        primal[7] = np.nextafter(primal[7], np.inf)
+        payload = format_json({"primal": primal, "dual_of_neg": []})
+        bad = subprocess.run(check, env=env, input=payload, capture_output=True, text=True)
+        assert bad.returncode == 1
+        assert "primal differs from the library in 1 entries" in bad.stderr
 
 
 class TestProject:
