@@ -135,6 +135,11 @@ class TestFormatJsonBytes:
             np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0,
             {"outer": {"inner": {"xs": [0.1, 0.2], "n": 3}}},
             [{"instance": 0, "deviation": 1e-17, "cycles": 12, "converged": True}] * 3,
+            [1, 2.5, -0.0, 3, np.float32(0.1), np.float16(2.0)],
+            [[1.0, 2.0], [], [3.0]],
+            1.0 / 3.0,
+            np.float32(0.1),
+            "plain",
             # oracle-compare's shape: a list of dicts inside a dict
             {
                 "p": 4,
@@ -144,11 +149,6 @@ class TestFormatJsonBytes:
                     for i in range(3)
                 ],
             },
-            [1, 2.5, -0.0, 3, np.float32(0.1), np.float16(2.0)],
-            [[1.0, 2.0], [], [3.0]],
-            1.0 / 3.0,
-            np.float32(0.1),
-            "plain",
         ],
     )
     def test_same_bytes_as_reference(self, value):
