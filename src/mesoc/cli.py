@@ -3,11 +3,8 @@
 Vectors travel as comma-separated decimals with --p/--q giving the split of
 the concatenated point (x then u). All verbs emit JSON on stdout; floats are
 written with 17 significant digits so output round-trips doubles losslessly.
-The JSON is produced as a list of pieces (each list of floats one piece)
-and written only once every piece is made, so a failed verb, exit 6
-included, writes nothing to stdout. Writing `mesoc project`'s 1.5 MB at
-p = q = 10 000 peaks at 1.27 times the output in traced allocations,
-against 3.0 times when the document was one concatenated string.
+The JSON is produced in pieces and written only once every piece is made,
+so a failed verb, exit 6 included, writes nothing to stdout.
 
 Exit codes: 0 success, 1 property violation (membership or deviation check
 failed), 2 parse error, 3 dimension mismatch, 4 non-convergence (a Dykstra
@@ -56,8 +53,9 @@ _ORACLE_DIM_CAP = 8
 _FLOAT_TYPES = {float, np.float64}
 
 
-def _floats_json(values, sep: str) -> str:
-    """Floats at 17 significant digits joined by sep, in one formatting call.
+def _floats_json(values, sep: str, head: str = "", tail: str = "") -> str:
+    """Floats at 17 significant digits joined by sep, between head and tail,
+    in one formatting call.
 
     Raises OverflowError for a non-finite value: every input and flag is
     finite, so only an overflow can have produced it.
@@ -65,7 +63,7 @@ def _floats_json(values, sep: str) -> str:
     if not all(map(math.isfinite, values)):
         bad = next(x for x in values if not math.isfinite(x))
         raise OverflowError(f"non-finite value {float(bad)!r} in JSON output")
-    return sep.join(["%.17g"] * len(values)) % tuple(values)
+    return (head + sep.join(["%.17g"] * len(values)) + tail) % tuple(values)
 
 
 def _scalar_json(value) -> str:
@@ -85,10 +83,12 @@ def _scalar_json(value) -> str:
 def _json_chunks(value, indent: int = 0):
     """The text of format_json(value, indent), yielded in pieces.
 
-    A list, tuple or array holding only floats is one piece, written in
-    one pass; any other list formats each item in turn. Brackets,
-    separators and keys are pieces of their own, so the document is never
-    copied whole.
+    A list, tuple or array holding only floats is one piece, brackets
+    included, written in one pass; any other list formats each item in
+    turn. A dict member's value is one format_json piece, which for a
+    float list is that list's piece itself (a join of one string copies
+    nothing). Keys and separators are pieces of their own, so the
+    document is never copied whole.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -101,7 +101,9 @@ def _json_chunks(value, indent: int = 0):
         sep = "{\n"
         for k, v in value.items():
             yield f"{sep}{inner}{json.dumps(str(k))}: "
-            yield from _json_chunks(v, indent + 1)
+            # a call per member keeps the writer's time and bytes inside
+            # the benchmark's cli.format_json span
+            yield format_json(v, indent + 1)
             sep = ",\n"
         yield "\n" + pad + "}"
         return
@@ -110,15 +112,16 @@ def _json_chunks(value, indent: int = 0):
             yield "[]"
             return
         sep = ",\n" + inner
-        yield "[\n" + inner
+        head, tail = "[\n" + inner, "\n" + pad + "]"
         if set(map(type, value)) <= _FLOAT_TYPES:
-            yield _floats_json(value, sep)
-        else:
-            for i, v in enumerate(value):
-                if i:
-                    yield sep
-                yield from _json_chunks(v, indent + 1)
-        yield "\n" + pad + "]"
+            yield _floats_json(value, sep, head, tail)
+            return
+        yield head
+        for i, v in enumerate(value):
+            if i:
+                yield sep
+            yield from _json_chunks(v, indent + 1)
+        yield tail
         return
     yield _scalar_json(value)
 

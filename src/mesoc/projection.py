@@ -34,8 +34,7 @@ halves.
 A projection allocates one buffer of 2(p + q) + 1 doubles and returns
 its halves x, u, y and v as views of it, so keeping any one half keeps
 the whole buffer alive (3.2 MB at p = q = 100 000); `.copy()` a half to
-keep it alone. `project_mesoc_dual` copies its y and v out into p + q
-doubles of their own.
+keep it alone.
 
 Input is validated once, where it enters (the three `project_mesoc*`
 functions, the public `MesocPoint` constructor and `from_vector`), and
@@ -315,14 +314,14 @@ def project_mesoc(z, w) -> ProjectionCertificate:
 def project_mesoc_dual(z, w) -> MesocPoint:
     """Projection onto the dual MESOC, via Moreau on the negated input.
 
-    Its y and v are views of one fresh array of p + q doubles, copied out
-    of the projection's buffer, so a kept dual holds no unused primal half.
+    Its y and v are views of the projection's one buffer of 2(p + q) + 1
+    doubles, whose primal half goes unused but stays allocated while
+    either is kept; `.copy()` them to keep p + q doubles alone.
     """
     z = as_vector(z, "z")
     w = as_vector(w, "w", allow_empty=True)
     _, _, y, v, _, _ = _project_parts(-z, -w)
-    yv = np.concatenate((y, v))
-    return MesocPoint._computed(yv[: z.size], yv[z.size :])
+    return MesocPoint._computed(y, v)
 
 
 @dataclass(frozen=True)
@@ -369,12 +368,15 @@ def complementarity_check(a: MesocPoint, b: MesocPoint, tol: float = 1e-8) -> Co
         xp_eq = abs(float(a.x[-1]) - u_norm) <= tol
         sum_eq = abs(float(np.sum(b.x)) - v_norm) <= tol
         anti = abs(uv + u_norm * v_norm) <= tol
-        # a shift that overflows reaches the violations below as inf, and
-        # they raise OverflowError; numpy's warning would only repeat it
+        # finite operands shift to -inf only by overflow, which is reported
+        # here: the violations below can meet it as a NaN difference and
+        # drop it, and numpy's warning would only repeat it
         with np.errstate(over="ignore"):
             sx = a.x - u_norm
             sy = b.x.copy()
             sy[-1] -= v_norm
+        if not (np.isfinite(sx).all() and math.isfinite(sy[-1])):
+            raise OverflowError("the shifted pair exceeds the float range")
         shifted = (
             _chain_violation(sx, 0.0) <= tol
             and _prefix_violation(_prefix_sums(sy), 0.0) <= tol

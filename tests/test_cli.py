@@ -1,7 +1,7 @@
 import json
 import math
 import os
-import subprocess
+import runpy
 import sys
 import tracemalloc
 from pathlib import Path
@@ -217,29 +217,22 @@ class TestEmit:
             _emit({"a": [1.0], "b": [math.inf], "c": 2.0})
         assert capsys.readouterr().out == ""
 
-    def test_pipe_round_trip(self, tmp_path):
-        # stdout as a real pipe, read by the checker that CI runs on it
+
+class TestPipeChecker:
+    """`scripts/cli_pipe_check.py`, which CI pipes `mesoc project` into."""
+
+    def test_accepts_library_output_and_rejects_one_ulp(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / "cli_pipe_check.py"
-        env = {**os.environ, "PYTHONPATH": str(Path(portfolio.__file__).resolve().parents[1])}
+        checker = runpy.run_path(str(script))
         vec = tmp_path / "vec.txt"
-        check = [sys.executable, str(script), "check", str(vec)]
-        subprocess.run([sys.executable, str(script), "write", str(vec)], env=env, check=True)
-        argv = ["project", "--p", "10000", "--q", "10000", "--file", str(vec)]
-        cli = subprocess.Popen(
-            [sys.executable, "-m", "mesoc.cli", *argv], env=env, stdout=subprocess.PIPE
-        )
-        good = subprocess.run(check, env=env, stdin=cli.stdout, capture_output=True, text=True)
-        cli.stdout.close()
-        assert cli.wait(timeout=60) == EXIT_OK
-        assert good.returncode == 0, good.stderr
-        # the checker rejects a primal one ulp off in one entry
+        checker["write"](str(vec))
         vals = parse_vector(vec.read_text())
-        primal = project_mesoc(vals[:10_000], vals[10_000:]).primal.as_vector()
+        cert = project_mesoc(vals[:10_000], vals[10_000:])
+        assert checker["problems"](format_json(cert.to_dict()), str(vec)) == []
+        primal = cert.primal.as_vector()
         primal[7] = np.nextafter(primal[7], np.inf)
-        payload = format_json({"primal": primal, "dual_of_neg": []})
-        bad = subprocess.run(check, env=env, input=payload, capture_output=True, text=True)
-        assert bad.returncode == 1
-        assert "primal differs from the library in 1 entries" in bad.stderr
+        bad = format_json({"primal": primal, "dual_of_neg": cert.dual_of_neg.as_vector()})
+        assert checker["problems"](bad, str(vec)) == ["primal differs from the library in 1 entries"]
 
 
 class TestProject:

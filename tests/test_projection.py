@@ -434,27 +434,6 @@ class TestOneBuffer:
         dual = project_mesoc_dual(z, w)
         assert dual.x.base is dual.u.base is not None
 
-    @pytest.mark.parametrize(
-        "z, w",
-        [
-            ([0.3, -1.7, 2.2], [0.9, -0.4]),  # Interior
-            ([-1.0, -2.0], [0.5, 0.5]),  # DualDominates
-            ([3.0, 2.0], [0.5, 0.5]),  # PrimalDominates
-            ([0.3, -1.7, 2.2], []),  # q = 0
-            ([-1.0], []),  # p = 1, q = 0
-        ],
-    )
-    def test_dual_keeps_p_plus_q_doubles(self, z, w):
-        # the dual's y and v share one array of their own, with no unused
-        # primal half, and equal the dual half of project_mesoc bit for bit
-        z, w = np.array(z), np.array(w)
-        dual = project_mesoc_dual(z, w)
-        assert dual.x.base is dual.u.base is not None
-        assert dual.x.base.size == z.size + w.size
-        want = project_mesoc(-z, -w).dual_of_neg
-        assert dual.x.tobytes() == want.x.tobytes()
-        assert dual.u.tobytes() == want.u.tobytes()
-
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
     def test_large_projections_take_no_fresh_pages(self):
         # With the halves allocated one by one, large projections faulted
@@ -835,15 +814,20 @@ class TestComplementarity:
             (MesocPoint([-1.7e308, 1.0], [1.7e308]), MesocPoint([1.0, 1.0], [1.0])),
             # y_p - ||v|| overflows
             (MesocPoint([1.0, 1.0], [1.0]), MesocPoint([1.7e308, -1.7e308], [1.7e308])),
+            # two adjacent entries shift to -inf, whose difference is NaN
+            (
+                MesocPoint([-1.7e308, -1.7e308, 0.0, 1.7e308], [1.7e308]),
+                MesocPoint([1.0, 1.0, 1.0, 1.0], [1.0]),
+            ),
         ],
-        ids=["primal-shift", "dual-shift"],
+        ids=["primal-shift", "dual-shift", "adjacent-primal-shifts"],
     )
     def test_overflowing_shift_raises_overflow_only(self, a, b):
-        # the shifted pair leaves the float range; the OverflowError that
-        # the violation raises is the one signal, with no numpy warning
+        # the shifted pair leaves the float range; the OverflowError is the
+        # one signal, with no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match="a cone violation exceeds the float range"):
+            with pytest.raises(OverflowError, match="the shifted pair exceeds the float range"):
                 complementarity_check(a, b)
 
     def test_non_members_fail(self):

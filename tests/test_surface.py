@@ -318,3 +318,36 @@ def test_projection_path_calls_no_blas(monkeypatch, n):
     mesoc.mesoc_dual_violation(dual)
     for cone in mesoc.ConeId:
         mesoc.project_cone(cone, z)
+
+def test_benchmark_trace_sees_the_writer():
+    # The cli.format_json.* metrics read 0 if the CLI writes its JSON
+    # without calling format_json. With the tracer installed, one
+    # `mesoc project` at p = q = 200 spends all but its top-level keys
+    # and braces inside format_json spans.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "import numpy as np\n"
+        "import tracing\n"
+        "from mesoc import cli\n"
+        "vec = np.random.default_rng(45).standard_normal(400)\n"
+        "argv = ['project', '--p', '200', '--q', '200', '--inline=' + ','.join(map(repr, vec.tolist()))]\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "tracer.begin_op()\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = cli.main(argv)\n"
+        "tracer.end_op(0, 1)\n"
+        "writer = tracer.totals['cli.format_json']\n"
+        "print(json.dumps([code, writer.calls, writer.extra.get('bytes'), len(buf.getvalue())]))\n"
+    )
+    src = str(Path(mesoc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    code, calls, traced, written = json.loads(done.stdout)
+    assert code == 0 and calls > 0
+    assert 0.99 * written < traced < written
