@@ -7,9 +7,10 @@
 
 `write` puts a seeded Interior-case vector (z = g + 3 with g standard
 normal, ||w|| = 10) in VEC.txt at 17 significant digits. `check` reads
-the CLI's JSON from standard input and exits 1 unless it parses and its
-primal and dual halves equal `project_mesoc` on VEC.txt's doubles bit
-for bit. Under `set -o pipefail` a non-zero exit of the CLI fails the
+the CLI's JSON from standard input and exits 1 unless it parses, its
+echoed input equals VEC.txt's doubles, and its primal and dual halves and
+both Moreau residuals equal `project_mesoc` on those doubles, all bit for
+bit. Under `set -o pipefail` a non-zero exit of the CLI fails the
 pipeline too.
 """
 
@@ -44,14 +45,21 @@ def problems(text: str, path: str) -> list[str]:
         return [f"output is not JSON ({len(text)} characters): {exc}"]
     cert = project_mesoc(vec[:DIM], vec[DIM:])
     found = []
-    for key, point in (("primal", cert.primal), ("dual_of_neg", cert.dual_of_neg)):
+    for key, want, source in (
+        ("input", vec, "the file"),
+        ("primal", cert.primal.as_vector(), "the library"),
+        ("dual_of_neg", cert.dual_of_neg.as_vector(), "the library"),
+    ):
         got = np.asarray(payload.get(key, []), dtype=np.float64)
-        want = point.as_vector()
         if got.shape != want.shape:
-            found.append(f"{key} has {got.size} entries, the library gives {want.size}")
+            found.append(f"{key} has {got.size} entries, {source} gives {want.size}")
         elif not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             diff = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
-            found.append(f"{key} differs from the library in {diff} entries")
+            found.append(f"{key} differs from {source} in {diff} entries")
+    for key in ("moreau_additive_residual", "moreau_orthogonality_residual"):
+        got, want = payload.get(key), getattr(cert, key)
+        if not (isinstance(got, float) and np.float64(got).tobytes() == np.float64(want).tobytes()):
+            found.append(f"{key} is {got!r}, the library gives {want!r}")
     return found
 
 
@@ -69,7 +77,7 @@ def main() -> int:
     for line in found:
         print(f"cli_pipe_check: {line}", file=sys.stderr)
     if not found:
-        print(f"cli_pipe_check: primal and dual_of_neg bit-equal at p = q = {DIM}")
+        print(f"cli_pipe_check: input, halves and residuals bit-equal at p = q = {DIM}")
     return 1 if found else 0
 
 

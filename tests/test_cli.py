@@ -8,9 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesoc import portfolio
 from mesoc.cli import (
+    _CHUNK,
+    _NUMPY_MIN,
     EXIT_DIMENSION,
     EXIT_DOMAIN,
     EXIT_NONCONVERGENCE,
@@ -19,6 +23,7 @@ from mesoc.cli import (
     EXIT_PARSE,
     EXIT_VIOLATION,
     _emit,
+    _floats_json,
     format_json,
     main,
     parse_vector,
@@ -168,6 +173,92 @@ class TestFormatJsonBytes:
         assert str(got.value) == str(want.value)
 
 
+def assert_printf_bytes(values, sep=","):
+    """_floats_json's numpy path writes values exactly as '%.17g' does."""
+    assert len(values) >= _NUMPY_MIN
+    got = _floats_json(values, sep)
+    want = sep.join(["%.17g" % v for v in values])
+    if got != want:
+        for v, g, w in zip(values, got.split(sep), want.split(sep)):
+            if g != w:
+                pytest.fail(f"{float(v)!r}: {g!r} != {w!r}")
+        pytest.fail("same items, different separators")
+
+
+def powers_of_ten_neighbours():
+    """Each power of ten from 1e-5 to 1e17 and its 64 nearest doubles each side."""
+    values = []
+    for k in range(-5, 18):
+        below = above = 10.0**k
+        values.append(above)
+        for _ in range(64):
+            below = math.nextafter(below, 0.0)
+            above = math.nextafter(above, math.inf)
+            values += [below, above]
+    return values
+
+
+class TestNumpyFloatPath:
+    """Float lists of at least _NUMPY_MIN values against '%.17g', byte for byte."""
+
+    def test_random_bit_patterns(self):
+        # every exponent, the subnormals and both signs
+        bits = np.random.default_rng(31).integers(0, 2**64, 400_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert_printf_bytes(values[np.isfinite(values)].tolist())
+
+    def test_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(32)
+        values = rng.choice([-1.0, 1.0], 500_000) * 10.0 ** rng.uniform(-7, 17.5, 500_000)
+        assert_printf_bytes(values.tolist())
+
+    def test_powers_of_ten_neighbours(self):
+        values = powers_of_ten_neighbours()
+        assert_printf_bytes(values + [-v for v in values])
+
+    def test_quarter_integer_ties(self):
+        # m + 0.25 and m + 0.75 in [1e15, 2**51), where they are doubles,
+        # need 18 digits: 17 end in a tie, which '%.17g' rounds to even
+        m = np.random.default_rng(33).integers(10**15, 2**51, 100_000)
+        values = m + np.array([0.25, 0.75] * 50_000)
+        assert_printf_bytes(values.tolist())
+
+    def test_boundaries(self):
+        values = [
+            999999.99999999999, 0.099999999999999999, 9.9999999999999991e-5,
+            1e-4, 9.999999999999999e-5, 1e16, 9.9999999999999984e16, 1e17,
+            0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308, 2.2250738585072014e-308, 0.5, 1.0, 100.0,
+        ]
+        assert_printf_bytes(values * (_NUMPY_MIN // len(values) + 1))
+
+    @pytest.mark.parametrize("indent", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "n",
+        [_NUMPY_MIN - 1, _NUMPY_MIN, _NUMPY_MIN + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+        + [2 * _CHUNK + 1],
+    )
+    def test_lengths_and_separators(self, n, indent):
+        values = (np.random.default_rng(n).standard_normal(n) * 1e3).tolist()
+        values[0], values[-1] = -0.0, 5e-324
+        value = {"xs": values}
+        for _ in range(indent):
+            value = [value]
+        assert format_json(value) == reference_format_json(value)
+
+    @given(
+        cycle=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+        ),
+        n=st.integers(_NUMPY_MIN, 2 * _CHUNK + 3),
+        indent=st.integers(0, 3),
+    )
+    @settings(max_examples=60)
+    def test_long_lists_match_reference(self, cycle, n, indent):
+        values = (cycle * (n // len(cycle) + 1))[:n]
+        assert format_json(values, indent) == reference_format_json(values, indent)
+
+
 class _CountingSink:
     """A stdout that keeps only the number of characters written to it."""
 
@@ -229,10 +320,18 @@ class TestPipeChecker:
         vals = parse_vector(vec.read_text())
         cert = project_mesoc(vals[:10_000], vals[10_000:])
         assert checker["problems"](format_json(cert.to_dict()), str(vec)) == []
-        primal = cert.primal.as_vector()
-        primal[7] = np.nextafter(primal[7], np.inf)
-        bad = format_json({"primal": primal, "dual_of_neg": cert.dual_of_neg.as_vector()})
-        assert checker["problems"](bad, str(vec)) == ["primal differs from the library in 1 entries"]
+        for key, source in (("primal", "the library"), ("input", "the file")):
+            bad = cert.to_dict()
+            bad[key][7] = math.nextafter(bad[key][7], math.inf)
+            assert checker["problems"](format_json(bad), str(vec)) == [
+                f"{key} differs from {source} in 1 entries"
+            ]
+        bad = cert.to_dict()
+        bad["moreau_additive_residual"] = math.nextafter(cert.moreau_additive_residual, 1.0)
+        assert checker["problems"](format_json(bad), str(vec)) == [
+            f"moreau_additive_residual is {bad['moreau_additive_residual']!r}, "
+            f"the library gives {cert.moreau_additive_residual!r}"
+        ]
 
 
 class TestProject:
