@@ -20,7 +20,7 @@ from mesoc.cli import _floats_json
 BLOCK = 100_000
 
 
-def block(rng: np.random.Generator) -> list[float]:
+def block(rng: np.random.Generator) -> np.ndarray:
     third = BLOCK // 3
     bits = rng.integers(0, 2**64, third, dtype=np.uint64).view(np.float64)
     signs = rng.choice([-1.0, 1.0], third)
@@ -28,13 +28,14 @@ def block(rng: np.random.Generator) -> list[float]:
     powers = 10.0 ** rng.integers(-5, 18, BLOCK - 2 * third).astype(np.float64)
     near = (powers.view(np.int64) + rng.integers(-1000, 1001, powers.size)).view(np.float64)
     values = np.concatenate([bits, spread, near])
-    return values[np.isfinite(values)].tolist()
+    return values[np.isfinite(values)]
 
 
-def first_difference(values: list[float]) -> str | None:
+def first_difference(values: np.ndarray) -> str | None:
     got = _floats_json(values, ",").split(",")
-    want = ["%.17g" % v for v in values]
-    for v, g, w in zip(values, got, want):
+    floats = values.tolist()
+    want = ["%.17g" % v for v in floats]
+    for v, g, w in zip(floats, got, want):
         if g != w:
             return f"{v!r}: numpy path wrote {g!r}, '%.17g' writes {w!r}"
     if len(got) != len(want):

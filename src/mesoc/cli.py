@@ -4,13 +4,14 @@ Vectors travel as comma-separated decimals with --p/--q giving the split of
 the concatenated point (x then u). All verbs emit JSON on stdout; floats are
 written with 17 significant digits so output round-trips doubles losslessly.
 The JSON is produced in pieces and written only once every piece is made,
-so a failed verb, exit 6 included, writes nothing to stdout.
+so a failed verb, exit 6 included, writes nothing to stdout. A 1-D float64
+array is one piece; lists and tuples go item by item.
 
-Every float is written byte for byte as '%.17g' writes it. In a float
-list of at least _NUMPY_MIN (256) values, numpy builds the text of each
+Every float is written byte for byte as '%.17g' writes it. In a float64
+array of at least _NUMPY_MIN (256) values, numpy builds the text of each
 value that '%.17g' prints in fixed notation: a zero, or a decimal exponent
 in -4..16 after rounding to 17 digits (1e-4 <= |x| < 1e17). Every other
-value, in exponent form, and every shorter list go through '%.17g' itself.
+value, in exponent form, and every shorter array go through '%.17g' itself.
 
 Exit codes: 0 success, 1 property violation (membership or deviation check
 failed), 2 parse error, 3 dimension mismatch, 4 non-convergence (a Dykstra
@@ -57,12 +58,12 @@ _CONE_CHOICES = ("mesoc", "mesoc-dual") + _VECTOR_CONES
 _VIOLATIONS = {"mesoc": mesoc_violation, "mesoc-dual": mesoc_dual_violation}
 _VIOLATIONS.update({c: partial(cone_violation, c) for c in _VECTOR_CONES})
 _ORACLE_DIM_CAP = 8
-_FLOAT_TYPES = {float, np.float64}
 
-# Shorter float lists take one '%.17g' call. Numpy path vs that call on
-# standard-normal lists at indent 1 (min of 15 interleaved runs of 200
-# calls, 2-core VM, Python 3.11, numpy 2.4): 1.59x the time at n = 128,
-# 1.32x at 192, 0.94x at 256, 0.71x at 384.
+# Shorter float64 arrays take one '%.17g' call. Numpy path vs that call on
+# standard-normal arrays at indent 1 (min of 15 interleaved runs of 200 calls,
+# 3 runs, 2-core VM, Python 3.11, numpy 2.4): 1.36x the time at n = 128,
+# 1.01-1.10x at 192, 0.88-0.96x at 224 and 256, 0.65-0.68x at 384. At
+# 224-255 values numpy saves at most 12%, a few us, so the bound stays 256.
 _NUMPY_MIN = 256
 # values per numpy pass; a pass's arrays peak near 0.5 MB
 _CHUNK = 2048
@@ -211,10 +212,10 @@ def _write_rows(x, rows, masks) -> None:
         rows[slow, :11] = np.frombuffer(text, np.uint32).reshape(-1, 11)
 
 
-def _floats_json(values, sep: str, head: str = "", tail: str = "") -> str:
+def _floats_json(values: np.ndarray, sep: str, head: str = "", tail: str = "") -> str:
     """Floats at 17 significant digits joined by sep, between head and tail.
 
-    Lists shorter than _NUMPY_MIN are one '%.17g' formatting call. Longer
+    Arrays shorter than _NUMPY_MIN are one '%.17g' formatting call. Longer
     ones go _CHUNK values at a time into a byte matrix, one row per value
     and its separator (_write_rows); one compress drops the NUL padding
     and the chunk is decoded once. Either way the bytes are those of
@@ -223,32 +224,28 @@ def _floats_json(values, sep: str, head: str = "", tail: str = "") -> str:
     Raises OverflowError for a non-finite value: every input and flag is
     finite, so only an overflow can have produced it.
     """
-    if len(values) < _NUMPY_MIN:
-        if not all(map(math.isfinite, values)):
-            bad = next(x for x in values if not math.isfinite(x))
-            raise OverflowError(f"non-finite value {float(bad)!r} in JSON output")
-        return (head + sep.join(["%.17g"] * len(values)) + tail) % tuple(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = values[~finite][0]
+        raise OverflowError(f"non-finite value {float(bad)!r} in JSON output")
+    if values.size < _NUMPY_MIN:
+        return (head + sep.join(["%.17g"] * values.size) + tail) % tuple(values.tolist())
     sep_bytes = np.frombuffer(sep.encode(), np.uint8)
     width = 44 + -(-sep_bytes.size // 4) * 4
     body_masks = _tables().body_masks
     masks = np.full((body_masks.shape[0], width // 4), 0xFFFFFFFF, np.uint32)
     masks[:, :11] = body_masks
-    chunk = min(len(values), _CHUNK)
+    chunk = min(values.size, _CHUNK)
     rows = np.zeros((chunk, width), np.uint8)
     rows[:, 44 : 44 + sep_bytes.size] = sep_bytes
     words = rows.view(np.uint32)
     out = head
-    items = iter(values)
-    for start in range(0, len(values), chunk):
-        x = np.fromiter(items, np.float64, min(chunk, len(values) - start))
-        finite = np.isfinite(x)
-        if not finite.all():
-            bad = x[~finite][0]
-            raise OverflowError(f"non-finite value {float(bad)!r} in JSON output")
+    for start in range(0, values.size, chunk):
+        x = values[start : start + chunk]
         _write_rows(x, words[: x.size], masks)
         flat = rows[: x.size].ravel()
         text = flat[flat != 0]
-        if start + x.size == len(values):
+        if start + x.size == values.size:
             text = text[: text.size - sep_bytes.size]
         # out has no other reference, so CPython appends in place
         out += str(text, "ascii")
@@ -264,7 +261,7 @@ def _scalar_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _floats_json((float(value),), "")
+        return _floats_json(np.array([float(value)]), "")
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -273,16 +270,19 @@ def _scalar_json(value) -> str:
 def _json_chunks(value, indent: int = 0):
     """The text of format_json(value, indent), yielded in pieces.
 
-    A list, tuple or array holding only floats is one piece, brackets
-    included, written in one pass; any other list formats each item in
-    turn. A dict member's value is one format_json piece, which for a
-    float list is that list's piece itself (a join of one string copies
-    nothing). Keys and separators are pieces of their own, so the
-    document is never copied whole.
+    A non-empty 1-D float64 array is one piece, brackets included, written
+    in one pass; any other array is formatted as its .tolist(), and lists
+    and tuples go item by item. A dict member's value is one format_json
+    piece, which for a float64 array is that array's piece itself (a join
+    of one string copies nothing). Keys and separators are pieces of their
+    own, so the document is never copied whole.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype == np.float64 and value.size:
+            yield _floats_json(value, ",\n" + inner, "[\n" + inner, "\n" + pad + "]")
+            return
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
@@ -302,16 +302,12 @@ def _json_chunks(value, indent: int = 0):
             yield "[]"
             return
         sep = ",\n" + inner
-        head, tail = "[\n" + inner, "\n" + pad + "]"
-        if set(map(type, value)) <= _FLOAT_TYPES:
-            yield _floats_json(value, sep, head, tail)
-            return
-        yield head
+        yield "[\n" + inner
         for i, v in enumerate(value):
             if i:
                 yield sep
             yield from _json_chunks(v, indent + 1)
-        yield tail
+        yield "\n" + pad + "]"
         return
     yield _scalar_json(value)
 
@@ -384,8 +380,8 @@ def cmd_project(args) -> int:
                 "cone": "mesoc-dual",
                 "p": args.p,
                 "q": args.q,
-                "input": vec.tolist(),
-                "projection": proj.as_vector().tolist(),
+                "input": vec,
+                "projection": proj.as_vector(),
                 "violation": mesoc_dual_violation(proj),
             }
         )
@@ -395,8 +391,8 @@ def cmd_project(args) -> int:
         {
             "cone": args.cone,
             "p": args.p,
-            "input": vec.tolist(),
-            "projection": proj.tolist(),
+            "input": vec,
+            "projection": proj,
             "violation": cone_violation(args.cone, proj),
         }
     )

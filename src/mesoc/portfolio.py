@@ -229,9 +229,10 @@ class MadSolution:
     outer_iterations: int = 1
 
     def to_dict(self) -> dict:
+        """The CLI payload; w and y are float64 copies, so editing it leaves self as is."""
         return {
-            "w": self.w.tolist(),
-            "y": self.y.tolist(),
+            "w": self.w.copy(),
+            "y": self.y.copy(),
             "objective": self.objective,
             "mad_objective": self.mad_objective,
             "residuals": {

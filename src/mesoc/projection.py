@@ -169,12 +169,13 @@ class ProjectionCertificate:
         return abs(xy + uv)
 
     def to_dict(self) -> dict:
+        """The CLI payload; the three vectors are fresh float64 arrays."""
         return {
             "p": self.input.p,
             "q": self.input.q,
-            "input": self.input.as_vector().tolist(),
-            "primal": self.primal.as_vector().tolist(),
-            "dual_of_neg": self.dual_of_neg.as_vector().tolist(),
+            "input": self.input.as_vector(),
+            "primal": self.primal.as_vector(),
+            "dual_of_neg": self.dual_of_neg.as_vector(),
             "case": self.case.value,
             "lambda": self.lam,
             "moreau_additive_residual": self.moreau_additive_residual,

@@ -154,6 +154,11 @@ class TestFormatJsonBytes:
                     for i in range(3)
                 ],
             },
+            # arrays the float64 path must leave to .tolist(), and one it takes
+            np.arange(-150, 150, dtype=np.int64),
+            (np.arange(300, dtype=np.float32) - 150.5) / 7,
+            np.array([True, False, True]),
+            np.array([-0.0, 5e-324] * 150),
         ],
     )
     def test_same_bytes_as_reference(self, value):
@@ -162,6 +167,19 @@ class TestFormatJsonBytes:
             # report the first difference; pytest's diff of megabyte strings never ends
             at = len(os.path.commonprefix([got, want]))
             pytest.fail(f"bytes differ at {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+    def test_payload_arrays_are_copies(self):
+        # to_dict hands the writer arrays; editing one leaves the result as is
+        cert = project_mesoc(np.array([3.0, 1.0, 2.0]), np.array([0.5]))
+        x0 = cert.primal.x[0]
+        cert.to_dict()["primal"][0] += 1.0
+        assert cert.primal.x[0] == x0
+        sol = portfolio.refine_jstar(
+            portfolio.load_scenarios([[0.5, 0.0], [0.0, 0.25], [0.25, 0.5]]), 1.0
+        )
+        w = sol.w.copy()
+        sol.to_dict()["w"][0] += 1.0
+        np.testing.assert_array_equal(sol.w, w)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_in_long_list_raises(self, bad):
@@ -176,7 +194,7 @@ class TestFormatJsonBytes:
 def assert_printf_bytes(values, sep=","):
     """_floats_json's numpy path writes values exactly as '%.17g' does."""
     assert len(values) >= _NUMPY_MIN
-    got = _floats_json(values, sep)
+    got = _floats_json(np.array(values), sep)
     want = sep.join(["%.17g" % v for v in values])
     if got != want:
         for v, g, w in zip(values, got.split(sep), want.split(sep)):
@@ -241,10 +259,12 @@ class TestNumpyFloatPath:
     def test_lengths_and_separators(self, n, indent):
         values = (np.random.default_rng(n).standard_normal(n) * 1e3).tolist()
         values[0], values[-1] = -0.0, 5e-324
-        value = {"xs": values}
-        for _ in range(indent):
-            value = [value]
-        assert format_json(value) == reference_format_json(value)
+        # an array takes the numpy path, a list goes item by item
+        for kind in (np.array, list):
+            value = {"xs": kind(values)}
+            for _ in range(indent):
+                value = [value]
+            assert format_json(value) == reference_format_json(value)
 
     @given(
         cycle=st.lists(
@@ -256,7 +276,9 @@ class TestNumpyFloatPath:
     @settings(max_examples=60)
     def test_long_lists_match_reference(self, cycle, n, indent):
         values = (cycle * (n // len(cycle) + 1))[:n]
-        assert format_json(values, indent) == reference_format_json(values, indent)
+        for kind in (np.array, list):
+            got = format_json(kind(values), indent)
+            assert got == reference_format_json(values, indent)
 
 
 class _CountingSink:
