@@ -230,6 +230,20 @@ def reference_format_json(value, indent: int = 0) -> str:
     return _reference_scalar_json(value)
 
 
+def reference_parse_vector(text: str) -> np.ndarray:
+    """Frozen copy of the CLI's reader that sent every cell to float().
+
+    The CLI reads plain decimal cells of long texts with numpy; every
+    value and every error message must match this copy.
+    """
+    cells = text.replace("\n", ",").split(",")
+    try:
+        values = list(map(float, filter(str.strip, cells)))
+    except ValueError as exc:
+        raise ValueError(f"malformed number in vector: {exc}") from None
+    return np.asarray(values, dtype=np.float64)
+
+
 def reference_cone_contains(cone, z, tol=0.0):
     """Frozen copy of the membership test that wrote each inequality inline.
 

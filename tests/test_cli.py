@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesoc import portfolio
+from mesoc import cli, portfolio
 from mesoc.cli import (
     _CHUNK,
     _NUMPY_MIN,
+    _READ_BLOCK,
+    _READ_MIN,
     EXIT_DIMENSION,
     EXIT_DOMAIN,
     EXIT_NONCONVERGENCE,
@@ -34,7 +36,7 @@ from mesoc.projection import (
     project_mesoc,
     project_mesoc_dual,
 )
-from support import reference_format_json
+from support import reference_format_json, reference_parse_vector
 
 EXTREMES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 
@@ -279,6 +281,146 @@ class TestNumpyFloatPath:
         for kind in (np.array, list):
             got = format_json(kind(values), indent)
             assert got == reference_format_json(values, indent)
+
+
+# plain cells, long enough that a text ending in them takes the numpy reader
+FILLER = ",".join(["3.1415926535897931", "-0.10000000000000001", "2.5", "-7"] * (_READ_MIN // 40))
+
+
+def assert_reads_like_reference(text):
+    """parse_vector gives the reference's bits, or raises its message."""
+    try:
+        want = reference_parse_vector(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_vector(text)
+        assert str(raised.value) == str(exc)
+        return
+    got = parse_vector(text)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"value {bad[0]}: {got[bad[0]]!r}, float() reads {want[bad[0]]!r}"
+
+
+# cells the numpy reader must hand to float(), or read exactly at its limits
+READER_TRAPS = [
+    "--1", "1.-2", "-", ".", "-.", "-.5", "5.", ".5", "-0", "-0.000", "007", "",
+    # 20 digit slots, N at 2**63 and more, and just under
+    "12345678901234567890", "1234567890123456789.0", "9223372036854775807",
+    "9223372036854775808", "9300000000000000000", "9219999999999999999",
+    "123456789012345678901234", "000000000.07012885953226", "-00000000.070128859532261",
+    # 23 and 22 fraction digits
+    ".12345678901234567890123", "0.00000000000000000000001", ".0000000000000000000012",
+    "0.00012345678901234567", "-0.00012345678901234567",
+    # exact ties: 2**53 + 1, 2**52 + 0.5, 2**51 + 0.25
+    "9007199254740993", "4503599627370496.5", "2251799813685248.25",
+    "1e5", "+1", "1_000", " 1", "1 ", "\t2\r", "inf", "-nan", "1.5e-300", "0x1", "1,5",
+]
+
+
+# pieces of random cells: float() also takes "+", "_", exponents, whitespace,
+# inf, nan, and non-ASCII digits and spaces (Arabic-Indic one, a no-break space)
+CELL_PIECES = list("0123456789" * 3 + ".-+eE_ \t\r") + ["inf", "nan", "\u0661", "\u00a0"]
+
+
+def power_of_two_neighbours():
+    """Each 2**e for e in -20..62 and its nearest double either side."""
+    values = []
+    for e in range(-20, 63):
+        x = 2.0**e
+        values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return values
+
+
+class TestNumpyReader:
+    """parse_vector on texts of _READ_MIN characters or more, against float()."""
+
+    def test_long_texts_take_the_numpy_path(self, monkeypatch):
+        blocks = []
+        read_block = cli._read_block
+        monkeypatch.setattr(cli, "_read_block", lambda *a: blocks.append(a) or read_block(*a))
+        short = "1," * ((_READ_MIN - 1) // 2)
+        np.testing.assert_array_equal(parse_vector(short), np.ones(len(short) // 2))
+        assert blocks == []
+        np.testing.assert_array_equal(parse_vector(short + "1,"), np.ones(len(short) // 2 + 1))
+        assert len(blocks) == 1
+
+    @pytest.mark.parametrize("where", ["first", "inside", "last"])
+    @pytest.mark.parametrize("cell", READER_TRAPS)
+    def test_named_cells(self, cell, where):
+        text = {
+            "first": f"{cell},{FILLER}",
+            "inside": f"0.5,-2.25\n{cell}\n{FILLER}",
+            "last": f"{FILLER}\n{cell}",
+        }[where]
+        assert_reads_like_reference(text)
+
+    @pytest.mark.parametrize("form", ["%.17g", "%r"])
+    def test_power_of_two_neighbours(self, form):
+        values = power_of_two_neighbours()
+        cells = [form % v for v in values + [-v for v in values]]
+        assert_reads_like_reference(",".join(cells))
+
+    def test_halfway_strings(self):
+        # the exact midpoint (2m + 1) * 2**(e - 53) of the doubles m * 2**(e - 52)
+        # and (m + 1) * 2**(e - 52), for e in 49..62 (at most 20 digits), and
+        # its neighbours in the last digit
+        rng = np.random.default_rng(41)
+        cells = []
+        for e in range(49, 63):
+            frac = max(53 - e, 0)
+            for m in rng.integers(2**52, 2**53, 40).tolist():
+                mid = (2 * m + 1) * 5**frac if frac else (2 * m + 1) << (e - 53)
+                for digits in map(str, (mid - 1, mid, mid + 1)):
+                    cells.append(f"{digits[:-frac]}.{digits[-frac:]}" if frac else digits)
+        assert_reads_like_reference("\n".join(cells))
+
+    def test_blocks_and_blank_cells(self):
+        # several reader blocks, blank and whitespace cells among them
+        rng = np.random.default_rng(42)
+        values = rng.standard_normal(40_000) * 10.0 ** rng.integers(-5, 17, 40_000)
+        cells = ["%.17g" % v for v in values.tolist()]
+        for i in rng.integers(0, len(cells), 200).tolist():
+            cells[i] = rng.choice(["", " ", "\r", "1e3", " -2 "])
+        assert_reads_like_reference(",".join(cells) + ",\n\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # an empty cell, then one longer than a block
+            "," + "1" * (_READ_BLOCK + 10) + "," + FILLER,
+            "\n".join(["0.25", "-1"] * (_READ_BLOCK // 6)),
+            "," * (_READ_BLOCK + 10),
+            "1" * _READ_MIN,
+            "\n" * 10 + FILLER + "\n" * 10,
+            # mostly cells for float(): from the first block, or a later one
+            FILLER.replace(",", "\r\n"),
+            "0.25," * (_READ_BLOCK // 4) + ",".join(["1e-30", " 2"] * (_READ_BLOCK // 8)) + ",x",
+        ],
+        ids=[
+            "long-cell", "newlines-only", "separators-only", "one-cell",
+            "blank-lines", "crlf", "later-block",
+        ],
+    )
+    def test_block_edges(self, text):
+        assert_reads_like_reference(text)
+
+    @given(
+        cells=st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(CELL_PIECES), max_size=6).map("".join),
+                st.from_regex(r"-?[0-9]{0,21}\.?[0-9]{0,21}", fullmatch=True),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        seps=st.lists(st.sampled_from([",", "\n"]), min_size=20, max_size=20),
+        head=st.sampled_from(["", "0.5,", "-1.25\n3,"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_cells_read_like_reference(self, cells, seps, head):
+        text = head + "".join(c + s for c, s in zip(cells, seps)) + FILLER
+        assert_reads_like_reference(text)
 
 
 class _CountingSink:
