@@ -5,7 +5,9 @@
 The doubles come in blocks of 100 000, each a third random 64-bit patterns
 (every exponent, the subnormals, both signs), a third +-10**U(-7, 17.5)
 and a third powers of ten from 1e-5 to 1e17 moved by up to 1000 ulps.
-Every finite one is written by `mesoc.cli._floats_json` and by '%.17g'.
+Every finite one is written by `mesoc.cli._floats_json`, in one array per
+block, and by '%.17g'; 2000 doubles drawn from the block are written again
+in arrays of 1-16 values.
 The first value whose text differs is printed and the exit code is 1;
 otherwise the exit code is 0.
 """
@@ -18,6 +20,7 @@ import numpy as np
 from mesoc.cli import _floats_json
 
 BLOCK = 100_000
+SHORT = 2000
 
 
 def block(rng: np.random.Generator) -> np.ndarray:
@@ -31,7 +34,8 @@ def block(rng: np.random.Generator) -> np.ndarray:
     return values[np.isfinite(values)]
 
 
-def first_difference(values: np.ndarray) -> str | None:
+def difference(values: np.ndarray) -> str | None:
+    """The first of values that _floats_json writes otherwise than '%.17g'."""
     got = _floats_json(values, ",").split(",")
     floats = values.tolist()
     want = ["%.17g" % v for v in floats]
@@ -40,6 +44,22 @@ def first_difference(values: np.ndarray) -> str | None:
             return f"{v!r}: numpy path wrote {g!r}, '%.17g' writes {w!r}"
     if len(got) != len(want):
         return f"{len(got)} items written for {len(want)} values"
+    return None
+
+
+def first_difference(rng: np.random.Generator, values: np.ndarray) -> str | None:
+    found = difference(values)
+    if found:
+        return found
+    # SHORT of the doubles again, in arrays of 1-16 values
+    short = values[rng.integers(0, values.size, SHORT)]
+    bounds = np.cumsum(rng.integers(1, 17, SHORT)).tolist()
+    for a, b in zip([0] + bounds, bounds):
+        if a >= SHORT:
+            break
+        found = difference(short[a:b])
+        if found:
+            return found
     return None
 
 
@@ -52,7 +72,7 @@ def main() -> int:
     checked = 0
     while checked < args.count:
         values = block(rng)
-        found = first_difference(values)
+        found = first_difference(rng, values)
         if found:
             print(f"float_format_sweep: {found}", file=sys.stderr)
             return 1

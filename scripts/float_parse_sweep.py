@@ -12,10 +12,11 @@ The strings come in blocks of 100 000, a quarter each:
 - the exact decimal midpoint of two adjacent doubles (2**-21 to 2**63), cut
   to 17-21 significant digits: just below the tie, or rounded up past it,
   or the tie itself when it has no more digits.
-Each block is one text of comma- and newline-separated cells, far longer
-than `_READ_MIN`, read by `mesoc.cli.parse_vector`; each string is also read
-by float(). The first string read to other bits (so the sign of zero
-counts) is printed and the exit code is 1; otherwise the exit code is 0.
+Each block is one text of comma- and newline-separated cells, read by
+`mesoc.cli.parse_vector`; 2000 strings drawn from the block are read again
+as texts of 1-16 cells. Each string is also read by float(). The first
+string read to other bits (so the sign of zero counts) is printed and the
+exit code is 1; otherwise the exit code is 0.
 """
 
 import argparse
@@ -23,9 +24,10 @@ import sys
 
 import numpy as np
 
-from mesoc.cli import _READ_MIN, parse_vector
+from mesoc.cli import parse_vector
 
 BLOCK = 100_000
+SHORT = 2000
 
 
 def bit_patterns(rng, n: int) -> list[str]:
@@ -100,10 +102,8 @@ def block(rng) -> list[str]:
     )
 
 
-def first_difference(rng, cells: list[str]) -> str | None:
-    seps = rng.choice([",", "\n"], len(cells)).tolist()
-    text = "".join(c + s for c, s in zip(cells, seps))
-    assert len(text) >= _READ_MIN, "a block must take the numpy path"
+def difference(cells: list[str], text: str) -> str | None:
+    """The first of cells that parse_vector reads from text to other bits than float()."""
     got = parse_vector(text)
     want = np.array(list(map(float, cells)))
     if got.shape != want.shape:
@@ -112,6 +112,24 @@ def first_difference(rng, cells: list[str]) -> str | None:
     if bad.size:
         i = bad[0]
         return f"{cells[i]!r}: parse_vector read {got[i]!r}, float() reads {want[i]!r}"
+    return None
+
+
+def first_difference(rng, cells: list[str]) -> str | None:
+    seps = rng.choice([",", "\n"], len(cells)).tolist()
+    found = difference(cells, "".join(c + s for c, s in zip(cells, seps)))
+    if found:
+        return found
+    # SHORT of the strings again, in texts of 1-16 cells with no trailing separator
+    short = [cells[i] for i in rng.integers(0, len(cells), SHORT).tolist()]
+    bounds = np.cumsum(rng.integers(1, 17, SHORT)).tolist()
+    for a, b in zip([0] + bounds, bounds):
+        if a >= SHORT:
+            break
+        part = short[a:b]
+        found = difference(part, "".join(c + s for c, s in zip(part, seps[a:b]))[:-1])
+        if found:
+            return found
     return None
 
 

@@ -8,17 +8,16 @@ so a failed verb, exit 6 included, writes nothing to stdout. A 1-D float64
 array is one piece; lists and tuples go item by item.
 
 Every float is written byte for byte as '%.17g' writes it. In a float64
-array of at least _NUMPY_MIN (256) values, numpy builds the text of each
-value that '%.17g' prints in fixed notation: a zero, or a decimal exponent
-in -4..16 after rounding to 17 digits (1e-4 <= |x| < 1e17). Every other
-value, in exponent form, and every shorter array go through '%.17g' itself.
+array, numpy builds the text of each value that '%.17g' prints in fixed
+notation: a zero, or a decimal exponent in -4..16 after rounding to 17
+digits (1e-4 <= |x| < 1e17). Every other value, in exponent form, goes
+through '%.17g' itself.
 
-Every value read is float()'s, bit for bit. In an ASCII text of at least
-_READ_MIN (8192) characters, numpy reads each plain decimal cell: a "-" or
-none, then digits with at most one ".", at most 23 bytes, below 2**63 with
-the dot dropped. Every other cell (exponent, "+", "_", whitespace, inf, nan,
-malformed), a cell within 1e-4 ulp of a rounding tie, every shorter or
-non-ASCII text, and the rest of a text from a 64 KB block where such cells
+Every value read is float()'s, bit for bit. numpy reads each plain decimal
+cell: a "-" or none, then digits with at most one ".", at most 23 bytes,
+below 2**63 with the dot dropped. Every other cell (exponent, "+", "_",
+whitespace, inf, nan, non-ASCII, malformed), a cell within 1e-4 ulp of a
+rounding tie, and the rest of a text from a 64 KB block where such cells
 are a third, go through float() itself.
 
 Exit codes: 0 success, 1 property violation (membership or deviation check
@@ -67,19 +66,8 @@ _VIOLATIONS = {"mesoc": mesoc_violation, "mesoc-dual": mesoc_dual_violation}
 _VIOLATIONS.update({c: partial(cone_violation, c) for c in _VECTOR_CONES})
 _ORACLE_DIM_CAP = 8
 
-# Shorter float64 arrays take one '%.17g' call. Numpy path vs that call on
-# standard-normal arrays at indent 1 (min of 15 interleaved runs of 200 calls,
-# 3 runs, 2-core VM, Python 3.11, numpy 2.4): 1.36x the time at n = 128,
-# 1.01-1.10x at 192, 0.88-0.96x at 224 and 256, 0.65-0.68x at 384. At
-# 224-255 values numpy saves at most 12%, a few us, so the bound stays 256.
-_NUMPY_MIN = 256
 # values per numpy pass; a pass's arrays peak near 0.5 MB
 _CHUNK = 2048
-# Shorter texts are read by float() alone. Numpy reader vs float() on
-# 17-digit cells (min of 15 interleaved runs of 200 calls, 3 runs, 2-core VM):
-# 1.43x the time at 5139 characters (256 cells), 1.03-1.08x at 7715 (384),
-# 0.91-0.96x at 8959 (448), 0.86-0.90x at 10 258 (512), 0.61-0.66x at 15 402.
-_READ_MIN = 8192
 # bytes of text per numpy pass of the reader: a 400 741-byte file took 2.9 ms
 # in 32 KB passes, 2.3-2.7 in 64 KB, 2.5-2.6 in 128 KB and 3.6 in one pass
 _READ_BLOCK = 1 << 16
@@ -92,6 +80,13 @@ def _split(a):
     c = a * _SPLITTER
     hi = c - (c - a)
     return hi, a - hi
+
+
+def _product_error(a, b_hi, b_lo, prod):
+    """a * b - prod exactly, for prod = fl(a * b) and b = b_hi + b_lo split
+    as _split does (Dekker's product)."""
+    a_hi, a_lo = _split(a)
+    return ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _body_masks():
@@ -148,7 +143,7 @@ class _Tables(NamedTuple):
 @cache
 def _tables() -> _Tables:
     """The numpy writer's and reader's lookup tables, built on first use, so
-    that importing this module and short inputs do no numpy work."""
+    that importing this module does no numpy work."""
     pow10 = np.array([float(10**k) for k in range(23)])
     d = np.arange(24, dtype=np.uint64)
     ascii_ = np.arange(48, 58, dtype=np.uint8)
@@ -179,10 +174,8 @@ def _round17(a, exp10):
     """
     k = 16 - exp10
     t = _tables()
-    p, p_hi, p_lo = t.pow10[k], t.pow10_hi[k], t.pow10_lo[k]
-    hi = a * p
-    a_hi, a_lo = _split(a)
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    hi = a * t.pow10[k]
+    lo = _product_error(a, t.pow10_hi[k], t.pow10_lo[k], hi)
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
@@ -250,11 +243,9 @@ def _write_rows(x, rows, masks) -> None:
 def _floats_json(values: np.ndarray, sep: str, head: str = "", tail: str = "") -> str:
     """Floats at 17 significant digits joined by sep, between head and tail.
 
-    Arrays shorter than _NUMPY_MIN are one '%.17g' formatting call. Longer
-    ones go _CHUNK values at a time into a byte matrix, one row per value
+    The values go _CHUNK at a time into a byte matrix, one row per value
     and its separator (_write_rows); one compress drops the NUL padding
-    and the chunk is decoded once. Either way the bytes are those of
-    '%.17g'.
+    and the chunk is decoded once. The bytes are those of '%.17g'.
 
     Raises OverflowError for a non-finite value: every input and flag is
     finite, so only an overflow can have produced it.
@@ -263,8 +254,6 @@ def _floats_json(values: np.ndarray, sep: str, head: str = "", tail: str = "") -
     if not finite.all():
         bad = values[~finite][0]
         raise OverflowError(f"non-finite value {float(bad)!r} in JSON output")
-    if values.size < _NUMPY_MIN:
-        return (head + sep.join(["%.17g"] * values.size) + tail) % tuple(values.tolist())
     sep_bytes = np.frombuffer(sep.encode(), np.uint8)
     width = 44 + -(-sep_bytes.size // 4) * 4
     body_masks = _tables().body_masks
@@ -377,16 +366,18 @@ def _read_floats(text: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _read_block(text: str, raw: bytes, lo: int, hi: int) -> np.ndarray | None:
-    """The values of the cells of raw[lo:hi] (text encoded), up to a separator.
+def _read_block(raw: bytes, lo: int, hi: int) -> np.ndarray | None:
+    """The values of the cells of raw[lo:hi], up to a separator.
 
-    numpy reads a cell of a "-" or none, then digits with at most one "."
-    among them, at most 23 bytes after the "-", from the 24 bytes that end
-    it (three uint64 words; a cell that ends before byte 24 has none). It
-    hands to float() (_read_floats) every other cell, and one whose digits N,
-    read without the dot, reach 2**63, whose value lies within 1e-4 ulp of
-    a rounding tie, or that may round past a power of two. It returns None,
-    reading nothing, when fewer than two thirds of the cells are plain.
+    raw is the text in UTF-8 (surrogatepass) behind 24 lead bytes, and
+    lo >= 24. numpy reads a cell of a "-" or none, then digits with at
+    most one "." among them, at most 23 bytes after the "-", from the 24
+    bytes that end it (three uint64 words). It hands to float()
+    (_read_floats) every other cell, decoded back to the str it was, and
+    one whose digits N, read without the dot, reach 2**63, whose value
+    lies within 1e-4 ulp of a rounding tie, or that may round past a power
+    of two. It returns None, reading nothing, when fewer than two thirds
+    of the cells are plain.
 
     With k fraction digits the value is N / 10**k. Both are exact doubles
     when N < 2**53, so the quotient is correctly rounded (Clinger). Above
@@ -411,10 +402,8 @@ def _read_block(text: str, raw: bytes, lo: int, hi: int) -> np.ndarray | None:
     # the dot's distance from the cell's end, 0 without one
     dot_end = (end - pos.take(after, mode="clip")) * (rest == 1)
     width = end - start - neg
-    # no other byte but a dot, at least one digit, and a window to read
+    # no other byte but a dot, and at least one digit
     ok = (rest <= dot) & (width > rest) & (width <= 23)
-    if lo < 24:
-        ok &= end + lo >= 24
     if 3 * np.count_nonzero(ok) < 2 * ok.size:
         return None
     # the digits as a 24-slot integer, the dot a 0 slot
@@ -437,9 +426,8 @@ def _read_block(text: str, raw: bytes, lo: int, hi: int) -> np.ndarray | None:
     y = nf / p
     # residual N - y * p: Dekker's product, and N - fl(N)
     prod = y * p
-    y_hi, y_lo = _split(y)
     p_hi, p_lo = t.pow10_hi.take(k, mode="clip"), t.pow10_lo.take(k, mode="clip")
-    err = ((y_hi * p_hi - prod) + y_hi * p_lo + y_lo * p_hi) + y_lo * p_lo
+    err = _product_error(y, p_hi, p_lo, prod)
     res = ((nf - prod) - err) + (n - nf.astype(np.int64)).astype(np.float64)
     # y's ulp from its exponent bits (y >= 1e-22 unless N = 0, whose step is 0)
     bits = y.view(np.int64)
@@ -453,9 +441,10 @@ def _read_block(text: str, raw: bytes, lo: int, hi: int) -> np.ndarray | None:
     y *= np.where(neg, -1.0, 1.0)
     bad = np.flatnonzero(~ok)
     if bad.size:
-        cells = [text[a:b] for a, b in zip((start[bad] + lo).tolist(), (end[bad] + lo).tolist())]
-        full = np.array([bool(c.strip()) for c in cells])
-        y[bad[full]] = _read_floats(",".join(cells))
+        spans = zip((start[bad] + lo).tolist(), (end[bad] + lo).tolist())
+        cells = b",".join([raw[a:b] for a, b in spans]).decode("utf-8", "surrogatepass")
+        full = np.array([bool(c.strip()) for c in cells.split(",")])
+        y[bad[full]] = _read_floats(cells)
         y = np.delete(y, bad[~full])
     return y
 
@@ -465,15 +454,15 @@ def parse_vector(text: str) -> np.ndarray:
 
     Blank cells are skipped; float() itself ignores the whitespace around
     a number. Every value is float()'s, bit for bit, and a malformed cell
-    raises with float()'s message. In an ASCII text of at least _READ_MIN
-    characters numpy reads the plain decimal cells (_read_block); every
-    other cell, and every shorter or non-ASCII text, goes through float().
+    raises with float()'s message. numpy reads the plain decimal cells of
+    each block (_read_block) and float() every other cell.
     """
-    if len(text) < _READ_MIN or not text.isascii():
-        return _read_floats(text)
-    raw = text.encode()
-    blocks = []
-    lo = 0
+    # the lead bytes give every cell its 24-byte window; surrogatepass lets
+    # a lone surrogate through to float() and its message
+    raw = bytes(24) + text.encode("utf-8", "surrogatepass")
+    # so that a text of no block, such as "", reads as an empty array
+    blocks = [np.empty(0)]
+    lo = 24
     with np.errstate(all="ignore"):
         while lo < len(raw):
             # a block ends at its last separator, else at the text's end
@@ -481,10 +470,10 @@ def parse_vector(text: str) -> np.ndarray:
             hi = max(raw.rfind(b",", lo, stop), raw.rfind(b"\n", lo, stop))
             if stop >= len(raw) or hi < 0:
                 hi = len(raw)
-            block = _read_block(text, raw, lo, hi) if hi > lo else np.empty(0)
+            block = _read_block(raw, lo, hi) if hi > lo else np.empty(0)
             if block is None:
                 # float() reads text of so many other cells faster whole
-                blocks.append(_read_floats(text[lo:]))
+                blocks.append(_read_floats(raw[lo:].decode("utf-8", "surrogatepass")))
                 break
             blocks.append(block)
             lo = hi + 1
@@ -623,7 +612,9 @@ def cmd_solve_portfolio(args) -> int:
     return EXIT_OK if sol.converged else EXIT_NONCONVERGENCE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="mesoc",
         description="Exact projections onto the monotone extended second-order cone.",

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from mesoc import cli, portfolio
 from mesoc.cli import (
     _CHUNK,
-    _NUMPY_MIN,
     _READ_BLOCK,
-    _READ_MIN,
     EXIT_DIMENSION,
     EXIT_DOMAIN,
     EXIT_NONCONVERGENCE,
@@ -194,8 +192,7 @@ class TestFormatJsonBytes:
 
 
 def assert_printf_bytes(values, sep=","):
-    """_floats_json's numpy path writes values exactly as '%.17g' does."""
-    assert len(values) >= _NUMPY_MIN
+    """_floats_json writes values exactly as '%.17g' does."""
     got = _floats_json(np.array(values), sep)
     want = sep.join(["%.17g" % v for v in values])
     if got != want:
@@ -219,7 +216,7 @@ def powers_of_ten_neighbours():
 
 
 class TestNumpyFloatPath:
-    """Float lists of at least _NUMPY_MIN values against '%.17g', byte for byte."""
+    """Float64 arrays of every length against '%.17g', byte for byte."""
 
     def test_random_bit_patterns(self):
         # every exponent, the subnormals and both signs
@@ -250,13 +247,13 @@ class TestNumpyFloatPath:
             0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
             -1.7976931348623157e308, 2.2250738585072014e-308, 0.5, 1.0, 100.0,
         ]
-        assert_printf_bytes(values * (_NUMPY_MIN // len(values) + 1))
+        for n in [1, 2, 255, 256, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1]:
+            assert_printf_bytes((values * (n // len(values) + 1))[:n])
 
     @pytest.mark.parametrize("indent", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "n",
-        [_NUMPY_MIN - 1, _NUMPY_MIN, _NUMPY_MIN + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]
-        + [2 * _CHUNK + 1],
+        [1, 2, 255, 256, 257, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1],
     )
     def test_lengths_and_separators(self, n, indent):
         values = (np.random.default_rng(n).standard_normal(n) * 1e3).tolist()
@@ -272,7 +269,7 @@ class TestNumpyFloatPath:
         cycle=st.lists(
             st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40
         ),
-        n=st.integers(_NUMPY_MIN, 2 * _CHUNK + 3),
+        n=st.integers(1, 2 * _CHUNK + 3),
         indent=st.integers(0, 3),
     )
     @settings(max_examples=60)
@@ -283,8 +280,9 @@ class TestNumpyFloatPath:
             assert got == reference_format_json(values, indent)
 
 
-# plain cells, long enough that a text ending in them takes the numpy reader
-FILLER = ",".join(["3.1415926535897931", "-0.10000000000000001", "2.5", "-7"] * (_READ_MIN // 40))
+# 816 plain cells, so that a few other cells among them go to float() one by
+# one rather than the rest of the text going to float() whole
+FILLER = ",".join(["3.1415926535897931", "-0.10000000000000001", "2.5", "-7"] * 204)
 
 
 def assert_reads_like_reference(text):
@@ -333,17 +331,33 @@ def power_of_two_neighbours():
 
 
 class TestNumpyReader:
-    """parse_vector on texts of _READ_MIN characters or more, against float()."""
+    """parse_vector against float(): the same bits, or the same message."""
 
-    def test_long_texts_take_the_numpy_path(self, monkeypatch):
+    def test_every_text_goes_through_read_block(self, monkeypatch):
         blocks = []
         read_block = cli._read_block
         monkeypatch.setattr(cli, "_read_block", lambda *a: blocks.append(a) or read_block(*a))
-        short = "1," * ((_READ_MIN - 1) // 2)
-        np.testing.assert_array_equal(parse_vector(short), np.ones(len(short) // 2))
-        assert blocks == []
-        np.testing.assert_array_equal(parse_vector(short + "1,"), np.ones(len(short) // 2 + 1))
-        assert len(blocks) == 1
+        # short, long and non-ASCII texts alike
+        for text in ["1", "-2.5,3", "1," * 4095 + "1", "1,\u0661", "\u00a0 7\n", "1,\udcff"]:
+            blocks.clear()
+            assert_reads_like_reference(text)
+            assert len(blocks) == 1, text
+
+    @pytest.mark.parametrize(
+        "text", ["", ",", " ", "\n\n"], ids=["empty", "comma", "space", "newlines"]
+    )
+    def test_blank_texts(self, text, capsys):
+        got = parse_vector(text)
+        assert got.dtype == np.float64 and got.shape == (0,)
+        code, out, err = run_cli(capsys, ["project", "--p", "1", "--inline", text])
+        assert (code, out, err) == (EXIT_DIMENSION, None, "error: vec must have dimension >= 1\n")
+
+    def test_lone_surrogate_cell(self, capsys):
+        argv = ["project", "--p", "1", "--q", "1", "--inline", "1,\udcff"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (EXIT_PARSE, None)
+        want = "could not convert string to float: '\\udcff'"
+        assert err == f"error: malformed number in vector: {want}\n"
 
     @pytest.mark.parametrize("where", ["first", "inside", "last"])
     @pytest.mark.parametrize("cell", READER_TRAPS)
@@ -391,7 +405,7 @@ class TestNumpyReader:
             "," + "1" * (_READ_BLOCK + 10) + "," + FILLER,
             "\n".join(["0.25", "-1"] * (_READ_BLOCK // 6)),
             "," * (_READ_BLOCK + 10),
-            "1" * _READ_MIN,
+            "1" * 8192,
             "\n" * 10 + FILLER + "\n" * 10,
             # mostly cells for float(): from the first block, or a later one
             FILLER.replace(",", "\r\n"),
@@ -416,10 +430,11 @@ class TestNumpyReader:
         ),
         seps=st.lists(st.sampled_from([",", "\n"]), min_size=20, max_size=20),
         head=st.sampled_from(["", "0.5,", "-1.25\n3,"]),
+        padded=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_random_cells_read_like_reference(self, cells, seps, head):
-        text = head + "".join(c + s for c, s in zip(cells, seps)) + FILLER
+    def test_random_cells_read_like_reference(self, cells, seps, head, padded):
+        text = head + "".join(c + s for c, s in zip(cells, seps)) + (FILLER if padded else "")
         assert_reads_like_reference(text)
 
 
