@@ -15,8 +15,8 @@ The strings come in blocks of 100 000, a quarter each:
 Each block is one text of comma- and newline-separated cells, read by
 `mesoc.cli.parse_vector`; 2000 strings drawn from the block are read again
 as texts of 1-16 cells. Each string is also read by float(). The first
-string read to other bits (so the sign of zero counts) is printed and the
-exit code is 1; otherwise the exit code is 0.
+string read to other bits (so the sign of zero counts) or rejected is
+printed and the exit code is 1; otherwise the exit code is 0.
 """
 
 import argparse
@@ -103,8 +103,18 @@ def block(rng) -> list[str]:
 
 
 def difference(cells: list[str], text: str) -> str | None:
-    """The first of cells that parse_vector reads from text to other bits than float()."""
-    got = parse_vector(text)
+    """The first of cells that parse_vector reads from text to other bits than
+    float(), or rejects."""
+    try:
+        got = parse_vector(text)
+    except ValueError as exc:
+        # find the string to blame by reading each on its own
+        for cell in cells:
+            try:
+                parse_vector(cell)
+            except ValueError as one:
+                return f"{cell!r}: parse_vector rejects it ({one}), float() reads {float(cell)!r}"
+        return f"parse_vector rejects a text of {len(cells)} cells ({exc}) but reads each alone"
     want = np.array(list(map(float, cells)))
     if got.shape != want.shape:
         return f"{got.size} values read for {want.size} cells"

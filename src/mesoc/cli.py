@@ -21,12 +21,13 @@ rounding tie, and the rest of a text from a 64 KB block where such cells
 are a third, go through float() itself.
 
 Exit codes: 0 success, 1 property violation (membership or deviation check
-failed), 2 parse error, 3 dimension mismatch, 4 non-convergence (a Dykstra
-run that hit its cycle cap, or a portfolio solve whose residuals exceed the
-fixed feasibility tolerance 1e-7), 5 input outside the model's domain (c0
-not in (0, inf), a degenerate reference scenario), 6 a result outside the
-float range (a norm, a Moreau dual half, a cone violation or a
-certificate residual above the largest finite double).
+failed), 2 parse error (an unreadable --file too, in every verb), 3
+dimension mismatch, 4 non-convergence (a Dykstra run that hit its cycle
+cap, or a portfolio solve whose residuals exceed the fixed feasibility
+tolerance 1e-7), 5 input outside the model's domain (c0 not in (0, inf), a
+degenerate reference scenario), 6 a result outside the float range (a norm,
+a Moreau dual half, a cone violation or a certificate residual above the
+largest finite double).
 """
 
 from __future__ import annotations
@@ -480,16 +481,30 @@ def parse_vector(text: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _read_file(read, path, *args):
+    """read(path, *args), an OSError from it raised as a parse error."""
+    try:
+        return read(path, *args)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def _read_text(path) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _read_vector(args) -> np.ndarray:
     if (args.inline is None) == (args.file is None):
         raise ValueError("exactly one of --inline or --file is required")
     if args.inline is not None:
         return parse_vector(args.inline)
-    try:
-        with open(args.file) as fh:
-            return parse_vector(fh.read())
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.file}: {exc}") from None
+    return parse_vector(_read_file(_read_text, args.file))
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
 
 
 def _point(vec: np.ndarray, args) -> MesocPoint | np.ndarray:
@@ -511,36 +526,21 @@ def cmd_project(args) -> int:
         payload.update(project_mesoc(pt.x, pt.u).to_dict())
         _emit(payload)
         return EXIT_OK
+    payload = {"cone": args.cone, "p": args.p}
     if args.cone == "mesoc-dual":
+        payload["q"] = args.q
         proj = project_mesoc_dual(pt.x, pt.u)
-        _emit(
-            {
-                "cone": "mesoc-dual",
-                "p": args.p,
-                "q": args.q,
-                "input": vec,
-                "projection": proj.as_vector(),
-                "violation": mesoc_dual_violation(proj),
-            }
-        )
-        return EXIT_OK
-    proj = project_cone(args.cone, pt)
-    _emit(
-        {
-            "cone": args.cone,
-            "p": args.p,
-            "input": vec,
-            "projection": proj,
-            "violation": cone_violation(args.cone, proj),
-        }
-    )
+        flat = proj.as_vector()
+    else:
+        proj = flat = project_cone(args.cone, pt)
+    payload.update(input=vec, projection=flat, violation=_VIOLATIONS[args.cone](proj))
+    _emit(payload)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     pt = _point(_read_vector(args), args)
-    if not 0.0 <= args.tol < math.inf:
-        raise ValueError("tol must be finite and nonnegative")
+    _check_tol(args.tol)
     violation = _VIOLATIONS[args.cone](pt)
     member = violation <= args.tol
     _emit(
@@ -555,8 +555,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    if not 0.0 <= args.tol < math.inf:
-        raise ValueError("tol must be finite and nonnegative")
+    _check_tol(args.tol)
     if args.p > _ORACLE_DIM_CAP or args.q > _ORACLE_DIM_CAP:
         raise DimensionError(
             f"oracle comparison is capped at p, q <= {_ORACLE_DIM_CAP}; "
@@ -574,7 +573,7 @@ def cmd_oracle_compare(args) -> int:
         w = rng.standard_normal(args.q)
         exact = project_mesoc(z, w).primal.as_vector()
         rep = dykstra_project(pieces, np.concatenate([z, w]))
-        dev = float(np.max(np.abs(exact - rep.point))) if exact.size else 0.0
+        dev = float(np.max(np.abs(exact - rep.point)))
         max_dev = max(max_dev, dev)
         all_converged = all_converged and rep.converged
         rows.append(
@@ -606,7 +605,7 @@ def cmd_oracle_compare(args) -> int:
 def cmd_solve_portfolio(args) -> int:
     if args.file is None:
         raise ValueError("--file with scenario returns is required")
-    data = read_returns_csv(args.file, args.probabilities_column)
+    data = _read_file(read_returns_csv, args.file, args.probabilities_column)
     sol = refine_jstar(data, args.c0)
     _emit(sol.to_dict())
     return EXIT_OK if sol.converged else EXIT_NONCONVERGENCE
@@ -665,18 +664,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DimensionError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except ModelDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        # the first match decides: the first two subclass ValueError, so come before it
+        for cls, code in (
+            (DimensionError, EXIT_DIMENSION),
+            (ModelDomainError, EXIT_DOMAIN),
+            (OverflowError, EXIT_OVERFLOW),
+            (ValueError, EXIT_PARSE),
+        ):
+            if isinstance(exc, cls):
+                return code
 
 
 if __name__ == "__main__":

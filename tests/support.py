@@ -11,10 +11,19 @@ from mesoc.cones import (
     ConeId,
     DimensionError,
     as_vector,
+    cone_violation,
+    project_cone,
     project_monotone_nonneg,
     project_monotone_nonneg_dual,
 )
-from mesoc.projection import ProjectionCase, _dot, _norm
+from mesoc.projection import (
+    MesocPoint,
+    ProjectionCase,
+    _dot,
+    _norm,
+    mesoc_dual_violation,
+    project_mesoc_dual,
+)
 
 
 def abel_sum(x, y) -> float:
@@ -242,6 +251,34 @@ def reference_parse_vector(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"malformed number in vector: {exc}") from None
     return np.asarray(values, dtype=np.float64)
+
+
+def reference_project_payload(cone, p, q, vec):
+    """Frozen copy of `mesoc project`'s two payloads for the plain cones.
+
+    The CLI built the mesoc-dual payload and the vector-cone payload in two
+    dict literals, each naming its violation function; it now builds one.
+    Its output must be format_json of this dict, byte for byte.
+    """
+    if cone == "mesoc-dual":
+        pt = MesocPoint.from_vector(vec, p, q)
+        proj = project_mesoc_dual(pt.x, pt.u)
+        return {
+            "cone": "mesoc-dual",
+            "p": p,
+            "q": q,
+            "input": vec,
+            "projection": proj.as_vector(),
+            "violation": mesoc_dual_violation(proj),
+        }
+    proj = project_cone(cone, vec)
+    return {
+        "cone": cone,
+        "p": p,
+        "input": vec,
+        "projection": proj,
+        "violation": cone_violation(cone, proj),
+    }
 
 
 def reference_cone_contains(cone, z, tol=0.0):

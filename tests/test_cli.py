@@ -34,7 +34,7 @@ from mesoc.projection import (
     project_mesoc,
     project_mesoc_dual,
 )
-from support import reference_format_json, reference_parse_vector
+from support import reference_format_json, reference_parse_vector, reference_project_payload
 
 EXTREMES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 
@@ -589,11 +589,30 @@ class TestProject:
         assert code == EXIT_OK
         np.testing.assert_allclose(out["projection"], [3.0, 1.5, 1.5], atol=1e-12)
 
-    def test_missing_file_exits_2(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys, ["project", "--p", "2", "--file", str(tmp_path / "absent.txt")]
-        )
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize("verb", ["project", "check", "solve-portfolio"])
+    def test_missing_file_exits_2(self, capsys, tmp_path, verb, where):
+        # every verb that reads --file blames an unreadable one as exit 2
+        path = tmp_path / "absent.txt" if where == "missing" else tmp_path
+        dims = [] if verb == "solve-portfolio" else ["--p", "2"]
+        code, out, err = run_cli(capsys, [verb, *dims, "--file", str(path)])
         assert code == EXIT_PARSE
+        assert out is None
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    @pytest.mark.parametrize(
+        "cone", ["mesoc-dual", "monotone", "monotone-dual", "monotone-nonneg",
+                 "monotone-nonneg-dual"],
+    )
+    def test_plain_cone_payload_frozen(self, capsys, cone):
+        # one payload for the five plain cones, byte for byte as each was built
+        vec = np.random.default_rng(3).standard_normal(7)
+        p, q = (4, 3) if cone == "mesoc-dual" else (7, 0)
+        code = main(["project", "--cone", cone, "--p", str(p), "--q", str(q), inline(vec)])
+        assert code == EXIT_OK
+        want = format_json(reference_project_payload(cone, p, q, vec)) + "\n"
+        assert capsys.readouterr().out == want
 
     def test_output_is_deterministic(self, capsys):
         argv = ["project", "--p", "3", "--q", "2", "--inline", "0.3,-1.7,2.2,0.9,-0.4"]
@@ -790,6 +809,16 @@ class TestExitCodes:
         assert out is None
         assert err.count("\n") == 1
         assert err.startswith("error: a cone violation exceeds the float range")
+
+    def test_model_domain_exits_5(self, capsys, tmp_path):
+        # well-formed data outside the model: neither a parse nor a dimension error
+        path = tmp_path / "r.csv"
+        path.write_text("0.5,0.0\n0.0,0.25\n0.25,0.5\n")
+        code, out, err = run_cli(capsys, ["solve-portfolio", "--file", str(path), "--c0", "0"])
+        assert code == EXIT_DOMAIN
+        assert out is None
+        assert err.count("\n") == 1
+        assert err.startswith("error: risk aversion must be positive")
 
     def test_certificate_overflow_exits_6(self, capsys):
         # finite input whose orthogonality residual overflows to NaN: the
